@@ -28,7 +28,6 @@ from .operators import (
     compose,
     cosh_shift,
     linear_combination,
-    memoized,
     multiply_by,
     op_sum,
     scale,
@@ -45,8 +44,6 @@ from .quadrature import (
     integrate_halfline,
 )
 from .oscillator import (
-    CONVENTIONS,
-    Conventions,
     DerivedParams,
     InvalidParametersError,
     ModelParams,

@@ -91,7 +91,10 @@ _SUPERPOSITIONS = (
 
 @dataclass(frozen=True)
 class CheckOutcome:
-    """One report entry; status 'skipped' entries carry a reason instead of numbers.
+    """One report entry; status 'skipped' entries carry a reason instead of
+    numbers, and status 'error' entries (the check raised or returned a
+    non-finite residual) carry residual None, passed False and the error as
+    reason.
 
     params is a plain snapshot dict {N, l, omega0, g0} (None for global checks)
     so outcomes serialize directly.
@@ -126,7 +129,7 @@ class GridContext:
         self.derived = derive_params(params)
         self._states: dict[int, object] = {}
         self._ops: dict[str, object] = {}
-        self._memo: dict[str, object] = {}
+        self._gram: tuple[float, float] | None = None
 
     def state(self, n: int):
         if n not in self._states:
@@ -148,6 +151,14 @@ class GridContext:
             }
             self._ops[name] = builders[name]()
         return self._ops[name]
+
+    def gram(self) -> tuple[float, float]:
+        """(max |G - I| entry, quadrature est_error) of the Gram matrix of R_0..R_nmax."""
+        if self._gram is None:
+            fns = [self.state(n).fn for n in range(self.n_max + 1)]
+            G, est = gram_matrix(fns, state_decay_hint(self.derived, self.n_max))
+            self._gram = (float(np.max(np.abs(G - np.eye(len(fns))))), est)
+        return self._gram
 
     def energy_of(self, n: int) -> float:
         return energy(n, self.derived, self.params.omega0)
@@ -185,16 +196,12 @@ def check_eigen_negative_control(ctx: GridContext) -> float:
     return NEGATIVE_CONTROL_THRESHOLD / max(observed, _GUARD)
 
 
-def check_orthonormality(ctx: GridContext) -> tuple[float, float]:
-    """Returns (max |G - I| entry, quadrature est_error)."""
-    if "gram" not in ctx._memo:
-        states = ctx.states(ctx.n_max)
-        fns = [states[n].fn for n in range(ctx.n_max + 1)]
-        hint = state_decay_hint(ctx.derived, ctx.n_max)
-        G, est = gram_matrix(fns, hint)
-        dev = float(np.max(np.abs(G - np.eye(len(fns)))))
-        ctx._memo["gram"] = (dev, est)
-    return ctx._memo["gram"]
+def check_orthonormality(ctx: GridContext) -> float:
+    return ctx.gram()[0]
+
+
+def check_orthonormality_quadrature_error(ctx: GridContext) -> float:
+    return ctx.gram()[1]
 
 
 def check_factorization(ctx: GridContext) -> float:
@@ -496,7 +503,7 @@ CHECKS: dict[str, CheckDef] = {c.check_id: c for c in [
           "(reports threshold/observed)"),
     _grid("orthonormality", 1e-6, check_orthonormality,
           "Gram matrix of R_0..R_nmax vs identity (quadrature)"),
-    _grid("orthonormality-quadrature-error", 1e-8, check_orthonormality,
+    _grid("orthonormality-quadrature-error", 1e-8, check_orthonormality_quadrature_error,
           "reported quadrature refinement error of the Gram matrix"),
     _grid("factorization", 1e-8, check_factorization,
           "omega0 (a+ a- + alpha + nu) R_n = E_n R_n pointwise"),
@@ -565,12 +572,27 @@ def _snapshot(point) -> dict:
     return {"N": int(N), "l": int(l), "omega0": float(om0), "g0": float(g0)}
 
 
+def _run_check(cid: str, snap: dict | None, tol: float, runner: Callable) -> CheckOutcome:
+    """One outcome; an exception or a non-finite residual becomes an error
+    entry with residual None, so the report never holds inf or nan."""
+    start = time.perf_counter()
+    try:
+        residual = float(runner())
+        reason = "" if math.isfinite(residual) else f"error: non-finite residual {residual}"
+    except Exception as exc:  # noqa: BLE001 - individual failures must not crash the run
+        reason = f"error: {type(exc).__name__}: {exc}"
+    runtime_ms = (time.perf_counter() - start) * 1e3
+    if reason:
+        return CheckOutcome(cid, snap, None, tol, False, runtime_ms, status="error", reason=reason)
+    return CheckOutcome(cid, snap, residual, tol, residual <= tol, runtime_ms)
+
+
 def run_point(point, check_ids, tolerances: dict[str, float] | None = None,
               n_max: int = 5, rho_samples=RHO_SAMPLES) -> list[CheckOutcome]:
     """Run the selected grid-scoped checks at one grid point.
 
     Invalid parameter combinations produce one skipped outcome per check
-    with the validation reason; check exceptions become failed entries.
+    with the validation reason; check exceptions become error entries.
     """
     tolerances = tolerances or {}
     grid_ids = [cid for cid in check_ids if CHECKS[cid].scope == "grid"]
@@ -589,25 +611,7 @@ def run_point(point, check_ids, tolerances: dict[str, float] | None = None,
     for cid in grid_ids:
         cdef = CHECKS[cid]
         tol = tolerances.get(cid, cdef.default_tol)
-        start = time.perf_counter()
-        try:
-            result = cdef.runner(ctx)
-            if cid == "orthonormality":
-                residual = float(result[0])
-            elif cid == "orthonormality-quadrature-error":
-                residual = float(result[1])
-            else:
-                residual = float(result)
-            outcomes.append(CheckOutcome(
-                cid, snap, residual, tol, residual <= tol,
-                (time.perf_counter() - start) * 1e3,
-            ))
-        except Exception as exc:  # noqa: BLE001 - individual failures must not crash the run
-            outcomes.append(CheckOutcome(
-                cid, snap, float("inf"), tol, False,
-                (time.perf_counter() - start) * 1e3,
-                reason=f"error: {type(exc).__name__}: {exc}",
-            ))
+        outcomes.append(_run_check(cid, snap, tol, lambda: cdef.runner(ctx)))
     return outcomes
 
 
@@ -619,17 +623,5 @@ def run_global(check_ids, tolerances: dict[str, float] | None = None) -> list[Ch
         if cdef.scope != "global":
             continue
         tol = tolerances.get(cid, cdef.default_tol)
-        start = time.perf_counter()
-        try:
-            residual = float(cdef.runner())
-            outcomes.append(CheckOutcome(
-                cid, None, residual, tol, residual <= tol,
-                (time.perf_counter() - start) * 1e3,
-            ))
-        except Exception as exc:  # noqa: BLE001
-            outcomes.append(CheckOutcome(
-                cid, None, float("inf"), tol, False,
-                (time.perf_counter() - start) * 1e3,
-                reason=f"error: {type(exc).__name__}: {exc}",
-            ))
+        outcomes.append(_run_check(cid, None, tol, cdef.runner))
     return outcomes

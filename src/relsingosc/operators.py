@@ -1,23 +1,33 @@
-"""Composable finite-difference operator calculus.
+"""Finite-difference operator calculus in stencil normal form.
 
-Shift operators act on analytic functions by exact complex displacement
-(rho -> rho + tau), not by discretized stencils: every function in scope
-(gamma products, polynomials, plane waves) is analytic in a strip around
-the real axis, so residual checks are limited only by rounding.
+Every operator of the model is a finite sum
+
+    A = sum_j c_j(rho) e^{tau_j d/drho},    (A f)(rho) = sum_j c_j(rho) f(rho + tau_j),
+
+so a LinearOperator stores exactly that: the distinct offsets tau_j and one
+function returning all coefficients c_j at once. Shift operators act on
+analytic functions by exact complex displacement (rho -> rho + tau), not by
+discretized stencils: every function in scope (gamma products,
+polynomials, plane waves) is analytic in a strip around the real axis, so
+residual checks are limited only by rounding.
 
 Each AnalyticFunction declares the half-width of the strip it is valid on;
 each operator declares how much imaginary displacement it consumes
-(shift_budget). Applying an operator checks the budget against the strip
-and the image carries the reduced strip, so "how many shifts can I still
-apply" is a checkable contract rather than a silent wrong value.
+(shift_budget = max_j |Im tau_j|). Applying an operator checks the budget
+against the strip and the image carries the reduced strip, so "how many
+shifts can I still apply" is a checkable contract rather than a silent
+wrong value.
 
-Operators are immutable; evaluation is lazy (a closure tree) and
-re-entrant. An opt-in memoization wrapper is provided for grid sweeps.
+Sums and products of operators are again stencils: op_sum merges equal
+offsets and compose multiplies out (a b)_{tau+sigma}(rho) += a_tau(rho)
+b_sigma(rho + tau). Operators are immutable and evaluation is re-entrant;
+an image evaluates its argument once per call, on the stacked points
+rho + tau_j.
 """
 
 from __future__ import annotations
 
-import threading
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,7 +47,6 @@ __all__ = [
     "sinh_shift",
     "apply",
     "linear_combination",
-    "memoized",
     "taylor_limit_check",
 ]
 
@@ -55,9 +64,9 @@ class SingularPointError(ValueError):
 class AnalyticFunction:
     """An evaluable function of a complex coordinate, valid on |Im rho| <= strip_halfwidth.
 
-    The evaluator must accept complex scalars and numpy arrays alike and be
-    finite everywhere in the strip except at declared isolated points
-    (typically on the imaginary axis, e.g. rho = 0 images).
+    The evaluator must accept complex scalars and numpy arrays of any shape
+    alike and be finite everywhere in the strip except at declared isolated
+    points (typically on the imaginary axis, e.g. rho = 0 images).
     """
 
     __slots__ = ("fn", "strip_halfwidth", "singular_points")
@@ -79,22 +88,81 @@ def _as_function(f) -> AnalyticFunction:
     raise TypeError(f"expected AnalyticFunction, got {type(f).__name__}")
 
 
-class LinearOperator:
-    """Base class; subclasses realize Shift / MultiplyBy / Scale / Sum / Compose."""
+def _check_singular(z, points):
+    for p in points:
+        if np.any(z == p):
+            raise SingularPointError(f"evaluation at declared singular point {p}")
 
-    shift_budget: float = 0.0
+
+def _stack(z: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """The points z + tau_j, stacked along a new leading axis."""
+    if not taus.any():  # the lone offset 0: a view, no copy
+        return z[None]
+    return z + taus.reshape((-1,) + (1,) * z.ndim)
+
+
+def _moved(points, taus) -> tuple:
+    """Where p sits as seen from rho when the function is read at rho + tau."""
+    return tuple(p - t for p in points for t in taus)
+
+
+def _merge(taus) -> tuple[tuple, Callable]:
+    """Distinct offsets in order of first appearance, and a function that sums
+    the rows of a table over taus into one row per distinct offset."""
+    offsets = tuple(dict.fromkeys(taus))
+    if len(offsets) == len(taus):
+        return offsets, lambda parts: parts
+    rows = [[i for i, t in enumerate(taus) if t == u] for u in offsets]
+    return offsets, lambda parts: np.stack([reduce(np.add, (parts[i] for i in r)) for r in rows])
+
+
+class LinearOperator:
+    """The finite-difference operator sum_j c_j(rho) e^{tau_j d/drho}.
+
+    offsets are the distinct displacements tau_j. coefficients(z) takes a
+    complex array z of any shape and returns every c_j(z) at once, as an
+    array with one more axis than z that broadcasts to (len(offsets),) +
+    z.shape (constant coefficients keep length-1 axes). singular_points
+    are the points where a coefficient is singular: evaluating an image
+    there raises SingularPointError. coeff_strip is the half-width of the
+    strip on which the coefficients are analytic.
+    """
+
+    def __init__(self, offsets, coefficients: Callable, singular_points: tuple = (),
+                 coeff_strip: float = np.inf):
+        self.offsets = tuple(complex(t) for t in offsets)
+        if not self.offsets:
+            raise ValueError("an operator needs at least one offset")
+        self.coefficients = coefficients
+        self.singular_points = tuple(dict.fromkeys(singular_points))
+        self.coeff_strip = float(coeff_strip)
+        self.shift_budget = max(abs(t.imag) for t in self.offsets)
 
     def apply(self, f: AnalyticFunction) -> AnalyticFunction:
-        f = _as_function(f)
-        if f.strip_halfwidth + _BUDGET_SLACK < self.shift_budget:
-            raise StripExhaustedError(
-                f"operator needs strip {self.shift_budget}, function provides "
-                f"{f.strip_halfwidth}"
-            )
-        return self._apply(f)
+        """The image rho -> sum_j c_j(rho) f(rho + tau_j).
 
-    def _apply(self, f: AnalyticFunction) -> AnalyticFunction:
-        raise NotImplementedError
+        Evaluating the image calls f once, on the points rho + tau_j
+        stacked along a new leading axis.
+        """
+        f = _as_function(f)
+        if (f.strip_halfwidth + _BUDGET_SLACK < self.shift_budget
+                or self.coeff_strip + _BUDGET_SLACK < 0):
+            raise StripExhaustedError(
+                f"operator needs strip {self.shift_budget} (coefficients analytic on "
+                f"{self.coeff_strip}), function provides {f.strip_halfwidth}"
+            )
+        taus = np.asarray(self.offsets)
+        coefficients, points, inner = self.coefficients, self.singular_points, f.fn
+
+        def ev(z):
+            zz = np.asarray(z, dtype=complex)
+            _check_singular(zz, points)
+            values = np.asarray(inner(_stack(zz, taus)))
+            out = np.einsum("j...,j...->...", coefficients(zz), values)
+            return out if zz.ndim else out[()]
+
+        strip = max(min(f.strip_halfwidth - self.shift_budget, self.coeff_strip), 0.0)
+        return AnalyticFunction(ev, strip, points + _moved(f.singular_points, self.offsets))
 
     # operator algebra sugar ------------------------------------------------
     def __matmul__(self, other):
@@ -117,123 +185,78 @@ class LinearOperator:
         return compose(scale(-1.0), self)
 
 
-class Shift(LinearOperator):
-    """(shift(tau) f)(rho) = f(rho + tau); budget counts |Im tau| only."""
-
-    def __init__(self, tau):
-        self.tau = complex(tau)
-        self.shift_budget = abs(self.tau.imag)
-
-    def _apply(self, f):
-        tau = self.tau
-        return AnalyticFunction(
-            lambda z, _f=f.fn: _f(z + tau),
-            f.strip_halfwidth - self.shift_budget,
-            tuple(p - tau for p in f.singular_points),
-        )
-
-
-class Scale(LinearOperator):
-    def __init__(self, c):
-        self.c = complex(c)
-
-    def _apply(self, f):
-        c = self.c
-        return AnalyticFunction(lambda z, _f=f.fn: c * _f(z), f.strip_halfwidth,
-                                f.singular_points)
-
-
-class MultiplyBy(LinearOperator):
-    """Multiplication by a coordinate function (callable or AnalyticFunction)."""
-
-    def __init__(self, factor, singular_points: tuple = ()):
-        if isinstance(factor, AnalyticFunction):
-            self.factor = factor.fn
-            self.factor_strip = factor.strip_halfwidth
-            self.singular_points = tuple(singular_points) + factor.singular_points
-        else:
-            self.factor = factor
-            self.factor_strip = np.inf
-            self.singular_points = tuple(singular_points)
-
-    def _apply(self, f):
-        fac = self.factor
-        pts = self.singular_points
-
-        def ev(z, _f=f.fn):
-            if pts:
-                _check_singular(z, pts)
-            return fac(z) * _f(z)
-
-        return AnalyticFunction(
-            ev,
-            min(f.strip_halfwidth, self.factor_strip),
-            f.singular_points + pts,
-        )
-
-
-def _check_singular(z, points):
-    zz = np.asarray(z)
-    for p in points:
-        if np.any(zz == p):
-            raise SingularPointError(f"evaluation at declared singular point {p}")
-
-
-class OpSum(LinearOperator):
-    def __init__(self, ops: Sequence[LinearOperator]):
-        self.ops = tuple(ops)
-        self.shift_budget = max((op.shift_budget for op in self.ops), default=0.0)
-
-    def _apply(self, f):
-        parts = [op.apply(f) for op in self.ops]
-        strip = min(p.strip_halfwidth for p in parts)
-        sing = sum((p.singular_points for p in parts), ())
-
-        def ev(z, _parts=parts):
-            acc = _parts[0].fn(z)
-            for p in _parts[1:]:
-                acc = acc + p.fn(z)
-            return acc
-
-        return AnalyticFunction(ev, strip, sing)
-
-
-class OpCompose(LinearOperator):
-    """compose(A, B, C) acts as the operator product A B C (C applied first)."""
-
-    def __init__(self, ops: Sequence[LinearOperator]):
-        self.ops = tuple(ops)
-        self.shift_budget = sum(op.shift_budget for op in self.ops)
-
-    def _apply(self, f):
-        g = f
-        for op in reversed(self.ops):
-            g = op.apply(g)
-        return g
+def _constant(tau, c) -> LinearOperator:
+    c = np.array([complex(c)])
+    return LinearOperator((tau,), lambda z: c.reshape((1,) * (z.ndim + 1)))
 
 
 def shift(tau) -> LinearOperator:
-    return Shift(tau)
+    """(shift(tau) f)(rho) = f(rho + tau); budget counts |Im tau| only."""
+    return _constant(tau, 1.0)
 
 
 def scale(c) -> LinearOperator:
-    return Scale(c)
+    return _constant(0.0, c)
 
 
 def multiply_by(factor, singular_points: tuple = ()) -> LinearOperator:
-    return MultiplyBy(factor, singular_points)
+    """Multiplication by a coordinate function (callable or AnalyticFunction)."""
+    strip = np.inf
+    if isinstance(factor, AnalyticFunction):
+        singular_points = tuple(singular_points) + factor.singular_points
+        factor, strip = factor.fn, factor.strip_halfwidth
+
+    def coefficients(z):
+        return np.broadcast_to(np.asarray(factor(z), dtype=complex), z.shape)[None]
+
+    return LinearOperator((0.0,), coefficients, tuple(singular_points), strip)
 
 
 def identity_op() -> LinearOperator:
-    return Shift(0.0)
+    return shift(0.0)
 
 
-def op_sum(*ops) -> LinearOperator:
-    return OpSum(ops)
+def op_sum(*ops: LinearOperator) -> LinearOperator:
+    """The sum of the operators, with equal offsets merged."""
+    offsets, collect = _merge([t for op in ops for t in op.offsets])
+
+    def coefficients(z):
+        tables = [op.coefficients(z) for op in ops]
+        shape = np.broadcast_shapes(*(t.shape[1:] for t in tables))
+        return collect(np.concatenate([np.broadcast_to(t, t.shape[:1] + shape) for t in tables]))
+
+    return LinearOperator(offsets, coefficients,
+                          sum((op.singular_points for op in ops), ()),
+                          min(op.coeff_strip for op in ops))
 
 
-def compose(*ops) -> LinearOperator:
-    return OpCompose(ops)
+def _compose2(a: LinearOperator, b: LinearOperator) -> LinearOperator:
+    """a b as a stencil: (a b)_{tau+sigma}(rho) += a_tau(rho) b_sigma(rho + tau)."""
+    ka, kb = len(a.offsets), len(b.offsets)
+    offsets, collect = _merge([ta + tb for ta in a.offsets for tb in b.offsets])
+    taus = np.asarray(a.offsets)
+
+    def coefficients(z):
+        ca = a.coefficients(z)
+        products = ca[:, None] * np.swapaxes(b.coefficients(_stack(z, taus)), 0, 1)
+        return collect(products.reshape((ka * kb,) + products.shape[2:]))
+
+    return LinearOperator(offsets, coefficients,
+                          a.singular_points + _moved(b.singular_points, a.offsets),
+                          min(a.coeff_strip, b.coeff_strip - a.shift_budget))
+
+
+def compose(*ops: LinearOperator) -> LinearOperator:
+    """compose(A, B, C) is the operator product A B C (C applied first).
+
+    The product is folded from the left, so along a chain the composite is
+    always the left operand: one evaluation computes its coefficient table
+    once and evaluates the next factor's coefficients on its stacked
+    offsets. An n-fold chain of k-offset factors then costs O(n^2 k)
+    coefficient evaluations per point; with the composite on the right it
+    would cost k^n.
+    """
+    return reduce(_compose2, ops)
 
 
 def cosh_shift(step: float = 1.0) -> LinearOperator:
@@ -267,34 +290,6 @@ def linear_combination(coeffs, fns: Sequence[AnalyticFunction]) -> AnalyticFunct
         return acc
 
     return AnalyticFunction(ev, strip, sing)
-
-
-def memoized(f: AnalyticFunction) -> AnalyticFunction:
-    """Caching wrapper keyed on the exact bit pattern of the argument.
-
-    Scalars key on the complex value, arrays on their raw bytes. Safe to
-    share between threads (a lock guards the cache); intended for grid
-    sweeps that revisit identical evaluation points.
-    """
-    cache: dict = {}
-    lock = threading.Lock()
-    inner = f.fn
-
-    def ev(z):
-        if np.ndim(z) == 0:
-            key = complex(z)
-        else:
-            arr = np.asarray(z)
-            key = (arr.shape, arr.tobytes())
-        with lock:
-            if key in cache:
-                return cache[key]
-        val = inner(z)
-        with lock:
-            cache[key] = val
-        return val
-
-    return AnalyticFunction(ev, f.strip_halfwidth, f.singular_points)
 
 
 def taylor_limit_check(f: Callable, second_derivative: Callable, lambda_bar: float,

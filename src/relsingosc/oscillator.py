@@ -22,7 +22,6 @@ is E_n = omega0 (2n + alpha + nu).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -40,8 +39,6 @@ from .operators import (
 from .quadrature import DecayHint, integrate_halfline
 
 __all__ = [
-    "Conventions",
-    "CONVENTIONS",
     "ModelParams",
     "DerivedParams",
     "RadialState",
@@ -70,23 +67,6 @@ RHO_SAMPLES = (0.3, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 STATE_STRIP_HALFWIDTH = 18.0
 
 _RESIDUAL_GUARD = 1e-300
-
-
-@dataclass(frozen=True)
-class Conventions:
-    """Internal unit system; all public energies are in units of mc^2."""
-
-    lambda_bar: float = 1.0
-    hbar: float = 1.0
-    mass: float = 1.0
-    c: float = 1.0
-
-    @property
-    def rest_energy(self) -> float:
-        return self.mass * self.c ** 2
-
-
-CONVENTIONS = Conventions()
 
 
 class InvalidParametersError(ValueError):
@@ -255,11 +235,6 @@ def radial_wavefunction(p: ModelParams, n: int) -> RadialState:
     )
 
 
-def _generalized_square(z):
-    # rho^(2) = rho (rho + i) through the integer-degree fast path
-    return specfun.generalized_degree(z, 2)
-
-
 def hamiltonian_reduced(p: ModelParams) -> LinearOperator:
     """Reduced dimensionless radial Hamiltonian (energies in mc^2):
 
@@ -273,7 +248,7 @@ def hamiltonian_reduced(p: ModelParams) -> LinearOperator:
     g0 = p.g0
 
     def factor(z):
-        r2 = _generalized_square(z)
+        r2 = z * (z + 1j)
         return (LL1 / 2.0 + g0) / r2 + half_w2 * r2
 
     return op_sum(

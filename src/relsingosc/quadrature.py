@@ -33,6 +33,10 @@ DEFAULT_RHO_MAX = 60.0
 NODES_PER_PANEL = 32
 TAIL_LOG_DROP = 43.0  # e^-43 ~ 2e-19: envelope tail below 1e-16 of the peak
 SAFETY_MARGIN = 10.0  # extra rho units absorbing polynomial prefactors
+# nodes per integrand call: an operator image evaluates its argument on all
+# of its offsets at once (17 for a four-rung ladder state), so blocks bound
+# the working memory of one call
+EVAL_BLOCK = 2048
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -66,16 +70,20 @@ class QuadratureRule:
         if np.any(self.weights <= 0):
             raise ValueError("weights must be positive")
 
-    def integrate(self, f) -> complex:
-        vals = np.asarray(f(self.nodes))
-        return complex(np.sum(self.weights * vals))
-
     def integrate_with_mass(self, f) -> tuple[complex, float]:
         """(integral, L1 mass); the mass floors convergence tolerances for
         integrands that cancel to ~0."""
-        vals = np.asarray(f(self.nodes))
+        vals = _evaluate_on(f, self.nodes)
         return (complex(np.sum(self.weights * vals)),
                 float(np.sum(self.weights * np.abs(vals))))
+
+
+def _evaluate_on(f, nodes: np.ndarray) -> np.ndarray:
+    """f at the nodes, called on blocks of at most EVAL_BLOCK nodes."""
+    return np.concatenate([
+        np.broadcast_to(np.asarray(f(block)), block.shape)
+        for block in np.split(nodes, range(EVAL_BLOCK, len(nodes), EVAL_BLOCK))
+    ])
 
 
 def choose_rho_max(hint: DecayHint | None) -> float:
@@ -161,7 +169,7 @@ def gram_matrix(fns, decay_hint: DecayHint | None = None) -> tuple[np.ndarray, f
 
     def assemble(panels_per_unit):
         rule = halfline_rule(rho_max, panels_per_unit)
-        vals = np.vstack([np.asarray(f(rule.nodes)) for f in fns])
+        vals = np.vstack([_evaluate_on(f, rule.nodes) for f in fns])
         return (np.conj(vals) * rule.weights) @ vals.T
 
     coarse = assemble(1)

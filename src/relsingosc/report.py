@@ -8,13 +8,17 @@ The report schema is frozen (report_version 1):
       "entries": [
         {"check_id": str, "params": {"N","l","omega0","g0"} | null,
          "residual": float | null, "tolerance": float | null,
-         "pass": bool | null, "status": "ran" | "skipped",
+         "pass": bool | null, "status": "ran" | "skipped" | "error",
          "reason": str, "runtime_ms": float},
         ...
       ],
       "summary": {"total", "passed", "failed", "skipped"},
       "canonical_hash": sha256 hex over the entries with runtime_ms removed
     }
+
+residual is null for skipped entries and for error entries (the check
+raised or produced a non-finite value; pass is false). The JSON is strict:
+it never holds NaN or Infinity.
 
 Entry order is deterministic (check_id, then the parameter snapshot), and
 runtime_ms is excluded from the canonical hash, so reports from identical
@@ -83,7 +87,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=False, allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -114,9 +118,10 @@ class VerificationReport:
                 lines.append(f"SKIP {e['check_id']:<{width}} {ptxt:<40} {e['reason']}")
                 continue
             tag = "PASS" if e["pass"] else "FAIL"
+            resid = "null" if e["residual"] is None else f"{e['residual']:.3e}"
             lines.append(
                 f"{tag} {e['check_id']:<{width}} {ptxt:<40} "
-                f"residual={e['residual']:.3e} tol={e['tolerance']:.1e}"
+                f"residual={resid} tol={e['tolerance']:.1e} {e['reason']}".rstrip()
             )
         s = self.summary
         lines.append(

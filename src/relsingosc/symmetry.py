@@ -31,7 +31,6 @@ from .operators import (
     LinearOperator,
     compose,
     linear_combination,
-    memoized,
     multiply_by,
     op_sum,
     scale,
@@ -198,7 +197,7 @@ def build_momentum(p: ModelParams, route: str = "explicit") -> LinearOperator:
     half_w2 = 0.5 * p.omega0 ** 2
 
     def factor(z):
-        r2 = specfun.generalized_degree(z, 2)
+        r2 = z * (z + 1j)
         return half_w2 * r2 + c_inv / r2
 
     return compose(scale(-1.0), op_sum(
@@ -209,7 +208,7 @@ def build_momentum(p: ModelParams, route: str = "explicit") -> LinearOperator:
 
 def _ladder_quadratic(p: ModelParams, inner_sign: float) -> LinearOperator:
     """(omega0 rho + inner_sign * i P)^2 - (2 g0 + L(L+1))/(1 + rho^2), as
-    a literal Compose of Sums (no manual simplification), over 2 omega0."""
+    a literal compose of sums (no manual simplification), over 2 omega0."""
     d = derive_params(p)
     P = build_momentum(p)
     B = op_sum(compose(scale(p.omega0), _rho_times()), compose(scale(inner_sign * 1j), P))
@@ -326,10 +325,10 @@ def commutator_residual(X: LinearOperator, Y: LinearOperator, rhs: LinearOperato
 def generate_state_via_ladder(p: ModelParams, n: int, max_rungs: int = 8) -> RadialState:
     """Build R_n = [n! (alpha+nu)_n]^(-1/2) (K+)^n R_0 through the pointwise route.
 
-    Each rung applies the raising operator and the spectral scalar; every
-    intermediate image is memoized so repeated shift offsets in the nested
-    chains are evaluated once. The shift budget limits the pointwise route
-    to n <= max_rungs.
+    (K+)^n is the n-fold product of the raising operator with the spectral
+    scalars multiplied out, one stencil with at most 4n + 1 offsets, and it
+    is applied to R_0 once. The shift budget limits the pointwise route to
+    n <= max_rungs.
     """
     if n < 0 or n != int(n):
         raise ValueError("n must be a non-negative integer")
@@ -340,20 +339,16 @@ def generate_state_via_ladder(p: ModelParams, n: int, max_rungs: int = 8) -> Rad
         return ground
     d = ground.derived
     lc = LadderCoefficients.from_params(p, d)
-    Ap = build_A_plus(p)
-
-    fn = memoized(ground.fn)
-    for k in range(1, n + 1):
-        rung = compose(scale(-1.0 / np.sqrt(lc.f_energy(k))), Ap)
-        fn = memoized(rung.apply(fn))
 
     sigma_poch = float(np.real(specfun.pochhammer(d.alpha + d.nu, n)))
     pref = 1.0 / np.sqrt(math.factorial(n) * sigma_poch)
-    final = linear_combination([pref], [fn])
+    for k in range(1, n + 1):
+        pref *= -1.0 / np.sqrt(lc.f_energy(k))
+    chain = compose(scale(pref), *[build_A_plus(p)] * n)
 
     # the constant of the state this chain reproduces, from the closed-form norm
     h_n = specfun.cdh_norm(n, specfun.CdhParams(d.alpha, d.nu, 0.5))
     return RadialState(
         params=p, derived=d, n=int(n), energy=energy(n, d, p.omega0),
-        norm_const=float(np.sqrt(2.0 / h_n)), fn=final,
+        norm_const=float(np.sqrt(2.0 / h_n)), fn=chain.apply(ground.fn),
     )

@@ -134,6 +134,38 @@ def test_verify_json_schema_and_invariant(capsys):
             assert e["pass"] == (e["residual"] <= e["tolerance"])
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_verify_errored_checks_give_strict_json(capsys):
+    # every state beyond n ~ 10 fails to normalize here, so several checks error
+    code, out, _ = run(capsys, ["verify", "--dims", "3", "--l", "1", "--omega0", "0.2",
+                                "--g0", "1", "--n-max", "15", "--format", "json"])
+    assert code == 1
+    data = json.loads(out, parse_constant=_reject_constant)
+    errors = [e for e in data["entries"] if e["status"] == "error"]
+    assert errors
+    for e in errors:
+        assert e["residual"] is None and e["pass"] is False
+        assert e["reason"].startswith("error: ")
+    assert data["summary"]["failed"] == len(errors)
+
+
+def test_error_entries_render_null_in_every_format():
+    from relsingosc.checks import CheckOutcome
+    from relsingosc.report import build_report
+
+    params = {"N": 3, "l": 1, "omega0": 0.2, "g0": 1.0}
+    report = build_report([CheckOutcome("eigen-residual", params, None, 1e-9, False, 1.0,
+                                        status="error", reason="error: Boom: x")], {})
+    assert "residual=null" in report.render("text")
+    row = report.render("csv").splitlines()[1].split(",")
+    assert row[5] == "" and row[7] == "false" and row[8] == "error"
+    entry = json.loads(report.render("json"), parse_constant=_reject_constant)["entries"][0]
+    assert entry["residual"] is None
+
+
 def test_verify_deterministic_reports(capsys):
     argv = ["verify"] + VALID + ["--checks", FAST_CHECKS, "--format", "json"]
     _, out1, _ = run(capsys, argv)

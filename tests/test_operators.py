@@ -1,6 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from relsingosc import symmetry
 from relsingosc.operators import (
     AnalyticFunction,
     SingularPointError,
@@ -10,7 +15,6 @@ from relsingosc.operators import (
     cosh_shift,
     identity_op,
     linear_combination,
-    memoized,
     multiply_by,
     op_sum,
     scale,
@@ -18,6 +22,7 @@ from relsingosc.operators import (
     sinh_shift,
     taylor_limit_check,
 )
+from relsingosc.oscillator import RHO_SAMPLES, ModelParams, hamiltonian_reduced
 from relsingosc.specfun import reciprocal_gamma
 
 RNG = np.random.default_rng(7)
@@ -147,23 +152,6 @@ def test_identity_and_apply_function():
     assert np.allclose(apply(identity_op(), f)(pts), f(pts))
 
 
-def test_memoized_caches_and_matches():
-    calls = {"n": 0}
-
-    def fn(z):
-        calls["n"] += 1
-        return np.exp(-np.asarray(z, dtype=complex) ** 2)
-
-    f = memoized(AnalyticFunction(fn, 3.0))
-    pts = np.linspace(0, 1, 5)
-    a = f(pts)
-    b = f(pts)
-    assert calls["n"] == 1
-    assert np.array_equal(a, b)
-    assert f(0.5) == f(0.5)
-    assert calls["n"] == 2
-
-
 def test_taylor_limit_quadratic_is_exact():
     res = taylor_limit_check(lambda z: z ** 2, lambda x: 2.0 * np.ones_like(x),
                              0.2, np.linspace(-2, 2, 9))
@@ -185,3 +173,109 @@ def test_taylor_limit_cosine_closed_form():
     res = taylor_limit_check(np.cos, lambda x: -np.cos(x), lam, pts)
     expect = abs(np.cosh(lam) - 1 - lam ** 2 / 2) * np.max(np.abs(np.cos(pts)))
     assert res == pytest.approx(expect, rel=1e-10)
+
+
+# --------------------------------------------------------------------------
+# stencil normal form
+# --------------------------------------------------------------------------
+
+P3 = ModelParams(N=3, l=1, omega0=0.2, g0=1.0)
+
+
+def test_products_collapse_to_their_offsets():
+    Ap = symmetry.build_A_plus(P3)
+    HA = compose(hamiltonian_reduced(P3), Ap)
+    assert set(HA.offsets) == {0j, 1j, -1j, 2j, -2j, 3j, -3j}
+    assert len(HA.offsets) == 7
+    assert len(compose(*[Ap] * 4).offsets) <= 17
+
+
+def test_image_evaluates_its_argument_once_per_call(monkeypatch):
+    calls = []
+    direct = symmetry.radial_wavefunction
+
+    def counted_state(p, n):
+        state = direct(p, n)
+
+        def ev(z, _f=state.fn.fn):
+            calls.append(np.shape(z))
+            return _f(z)
+
+        return dataclasses.replace(state, fn=AnalyticFunction(ev, state.fn.strip_halfwidth))
+
+    monkeypatch.setattr(symmetry, "radial_wavefunction", counted_state)
+    pts = np.asarray(RHO_SAMPLES)
+    r0 = symmetry.radial_wavefunction(P3, 0)
+    image = compose(hamiltonian_reduced(P3), symmetry.build_A_plus(P3)).apply(r0.fn)
+    calls.clear()
+    image(pts)
+    image(pts[1])
+    assert calls == [(7, 7), (7,)]
+
+    r4 = symmetry.generate_state_via_ladder(P3, 4)
+    calls.clear()
+    r4.fn(pts)
+    assert len(calls) == 1
+
+
+_numbers = st.floats(-2.0, 2.0, allow_nan=False)
+_offsets = st.builds(complex, st.floats(-1.0, 1.0), st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0)))
+
+
+def _polynomial(cs):
+    return multiply_by(lambda z: sum(c * z ** k for k, c in enumerate(cs)))
+
+
+_stencils = st.recursive(
+    st.one_of(
+        _offsets.map(shift),
+        st.builds(complex, _numbers, _numbers).map(scale),
+        st.lists(_numbers, min_size=1, max_size=3).map(_polynomial),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda ab: compose(*ab)),
+        st.tuples(inner, inner).map(lambda ab: op_sum(*ab)),
+    ),
+    max_leaves=4,
+)
+_TEST_FN = entire(lambda z: np.exp(0.5 * z) + np.cos(z) * z ** 2)
+_PTS = np.linspace(-1.0, 1.0, 5)
+
+
+def _same_image(a, b, rel=1e-12):
+    x, y = a.apply(_TEST_FN)(_PTS), b.apply(_TEST_FN)(_PTS)
+    scale_ref = max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(y))))
+    return float(np.max(np.abs(x - y))) <= rel * scale_ref
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_stencils, _stencils)
+def test_normal_form_matches_nested_application(a, b):
+    # the stencils of a b and a + b against their definitions on a function
+    x = compose(a, b).apply(_TEST_FN)(_PTS)
+    y = a.apply(b.apply(_TEST_FN))(_PTS)
+    assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, float(np.max(np.abs(y))))
+    x = op_sum(a, b).apply(_TEST_FN)(_PTS)
+    y = a.apply(_TEST_FN)(_PTS) + b.apply(_TEST_FN)(_PTS)
+    assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, float(np.max(np.abs(y))))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_stencils, _stencils, _stencils)
+def test_compose_is_associative(a, b, c):
+    assert _same_image(compose(compose(a, b), c), compose(a, compose(b, c)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_stencils, _stencils, _stencils)
+def test_compose_distributes_over_sum(a, b, c):
+    assert _same_image(compose(a, op_sum(b, c)), op_sum(compose(a, b), compose(a, c)))
+    assert _same_image(compose(op_sum(a, b), c), op_sum(compose(a, c), compose(b, c)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_offsets, _offsets)
+def test_shift_products_add_offsets(a, b):
+    x = compose(shift(a), shift(b)).apply(_TEST_FN)(_PTS)
+    y = shift(a + b).apply(_TEST_FN)(_PTS)
+    assert np.max(np.abs(x - y) / np.abs(y)) <= 1e-12
