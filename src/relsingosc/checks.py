@@ -173,13 +173,19 @@ class GridContext:
 # grid-scoped checks
 # --------------------------------------------------------------------------
 
+def _worst(residuals) -> float:
+    """Largest residual (0 for none); unlike the builtin max, a nan anywhere
+    is kept, so _run_check reports it as an error instead of dropping it."""
+    return float(np.max(residuals, initial=0.0))
+
+
 def check_eigen_residual(ctx: GridContext) -> float:
     H = ctx.op("H")
-    worst = 0.0
+    resids = []
     for n in range(ctx.n_max + 1):
         st = ctx.state(n)
-        worst = max(worst, eigen_residual(H, st.fn, st.energy, ctx.rho_samples))
-    return worst
+        resids.append(eigen_residual(H, st.fn, st.energy, ctx.rho_samples))
+    return _worst(resids)
 
 
 def check_eigen_negative_control(ctx: GridContext) -> float:
@@ -188,12 +194,13 @@ def check_eigen_negative_control(ctx: GridContext) -> float:
     Reported residual is threshold/observed so that pass <=> residual <= 1.
     """
     H = ctx.op("H")
-    observed = np.inf
+    observed = []
     for n in range(ctx.n_max + 1):
         st = ctx.state(n)
         r = eigen_residual(H, st.fn, st.energy + 0.1 * ctx.params.omega0, ctx.rho_samples)
-        observed = min(observed, r)
-    return NEGATIVE_CONTROL_THRESHOLD / max(observed, _GUARD)
+        observed.append(r)
+    # np.min and np.maximum keep a nan, where the builtins would drop it
+    return NEGATIVE_CONTROL_THRESHOLD / np.maximum(np.min(observed), _GUARD)
 
 
 def check_orthonormality(ctx: GridContext) -> float:
@@ -210,11 +217,11 @@ def check_factorization(ctx: GridContext) -> float:
         compose(ctx.op("a+"), ctx.op("a-")),
         compose(scale(sigma), identity_op()),
     ))
-    worst = 0.0
+    resids = []
     for n in range(ctx.n_max + 1):
         st = ctx.state(n)
-        worst = max(worst, eigen_residual(op, st.fn, st.energy, ctx.rho_samples))
-    return worst
+        resids.append(eigen_residual(op, st.fn, st.energy, ctx.rho_samples))
+    return _worst(resids)
 
 
 def check_commutator_hamiltonian_ladder(ctx: GridContext) -> float:
@@ -225,7 +232,7 @@ def check_commutator_hamiltonian_ladder(ctx: GridContext) -> float:
     two_w = 2.0 * ctx.params.omega0
     r_plus = commutator_residual(H, ctx.op("A+"), compose(scale(two_w), ctx.op("A+")), fns, pts)
     r_minus = commutator_residual(H, ctx.op("A-"), compose(scale(-two_w), ctx.op("A-")), fns, pts)
-    return max(r_plus, r_minus)
+    return _worst((r_plus, r_minus))
 
 
 def check_commutator_ladder_pair(ctx: GridContext) -> float:
@@ -236,27 +243,27 @@ def check_commutator_ladder_pair(ctx: GridContext) -> float:
     """
     lc = LadderCoefficients.from_params(ctx.params, ctx.derived)
     om0 = ctx.params.omega0
-    worst = 0.0
+    resids = []
     for n in range(ctx.n_max + 1):
         e_n = ctx.energy_of(n)
         lhs = lc.f_energy(n + 1) * lc.kappa(n + 1) ** 2
         if n > 0:
             lhs -= lc.f_energy(n) * lc.kappa(n) ** 2
         rhs = om0 * e_n * (1.0 + 2.0 / om0 ** 2 * (e_n ** 2 - 1.0))
-        worst = max(worst, abs(lhs - rhs) / (abs(rhs) + _GUARD))
-    return worst
+        resids.append(abs(lhs - rhs) / (abs(rhs) + _GUARD))
+    return _worst(resids)
 
 
 def check_su11_ladder_bracket(ctx: GridContext) -> float:
     """kappa_{n+1}^2 - kappa_n^2 = 2n + alpha + nu, exactly, n <= 50."""
     lc = LadderCoefficients.from_params(ctx.params, ctx.derived)
     sigma = ctx.derived.alpha + ctx.derived.nu
-    worst = 0.0
+    resids = []
     for n in range(51):
         lhs = lc.kappa(n + 1) ** 2 - lc.kappa(n) ** 2
         rhs = 2 * n + sigma
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    return worst
+        resids.append(abs(lhs - rhs) / abs(rhs))
+    return _worst(resids)
 
 
 def check_casimir(ctx: GridContext) -> float:
@@ -264,11 +271,11 @@ def check_casimir(ctx: GridContext) -> float:
     target = s * (s - 1.0)
     states = [CoefficientState({n: 1.0}, ctx.params) for n in range(4)]
     states.append(CoefficientState({0: 0.5, 1: -0.3 + 0.1j, 2: 0.2, 3: 0.7j}, ctx.params))
-    worst = 0.0
+    resids = []
     for st in states:
         q = casimir(st)
-        worst = max(worst, abs(q - target) / (abs(target) + _GUARD))
-    return worst
+        resids.append(abs(q - target) / (abs(target) + _GUARD))
+    return _worst(resids)
 
 
 def _pointwise_match(got, want, floor_scale: float) -> float:
@@ -284,44 +291,44 @@ def check_ladder_action(ctx: GridContext) -> float:
     """Pointwise K+ R_n vs kappa_{n+1} R_{n+1} and K- R_n vs kappa_n R_{n-1}."""
     lc = LadderCoefficients.from_params(ctx.params, ctx.derived)
     pts = np.asarray(ctx.rho_samples)
-    worst = 0.0
+    resids = []
     top = min(4, ctx.n_max)
     for n in range(top + 1):
         st = ctx.state(n)
         up = k_raise_pointwise(st)(pts)
         want_up = lc.kappa(n + 1) * np.asarray(ctx.state(n + 1).fn(pts))
-        worst = max(worst, _pointwise_match(up, want_up, float(np.max(np.abs(want_up)))))
+        resids.append(_pointwise_match(up, want_up, float(np.max(np.abs(want_up)))))
         down = k_lower_pointwise(st)(pts)
         if n == 0:
             scale0 = float(np.max(np.abs(np.asarray(st.fn(pts)))))
-            worst = max(worst, float(np.max(np.abs(down))) / scale0)
+            resids.append(float(np.max(np.abs(down))) / scale0)
         else:
             want_dn = lc.kappa(n) * np.asarray(ctx.state(n - 1).fn(pts))
-            worst = max(worst, _pointwise_match(down, want_dn, float(np.max(np.abs(want_dn)))))
-    return worst
+            resids.append(_pointwise_match(down, want_dn, float(np.max(np.abs(want_dn)))))
+    return _worst(resids)
 
 
 def check_state_generation(ctx: GridContext) -> float:
     """Ladder-generated R_n vs direct evaluation, pointwise, n <= 4."""
     pts = np.asarray(ctx.rho_samples)
-    worst = 0.0
+    resids = []
     for n in range(1, min(4, ctx.n_max) + 1):
         gen = generate_state_via_ladder(ctx.params, n)
         want = np.asarray(ctx.state(n).fn(pts))
         got = np.asarray(gen.fn(pts))
-        worst = max(worst, _pointwise_match(got, want, float(np.max(np.abs(want)))))
-    return worst
+        resids.append(_pointwise_match(got, want, float(np.max(np.abs(want)))))
+    return _worst(resids)
 
 
 def check_state_generation_norm(ctx: GridContext) -> float:
     """|quadrature norm - 1| of ladder-generated states, n <= 4."""
-    worst = 0.0
+    resids = []
     hint = state_decay_hint(ctx.derived, 4)
     for n in range(1, min(4, ctx.n_max) + 1):
         gen = generate_state_via_ladder(ctx.params, n)
         val, _ = integrate_halfline(lambda r: np.abs(gen.fn(r)) ** 2, hint)
-        worst = max(worst, abs(val - 1.0))
-    return worst
+        resids.append(abs(val - 1.0))
+    return _worst(resids)
 
 
 def check_reduction_chain(ctx: GridContext) -> float:
@@ -329,7 +336,7 @@ def check_reduction_chain(ctx: GridContext) -> float:
     eigen-equation at the sample points, n <= 2."""
     p = ctx.params
     H_N = hamiltonian_radial_N(p)
-    worst = 0.0
+    resids = []
     for n in range(min(2, ctx.n_max) + 1):
         st = ctx.state(n)
 
@@ -337,8 +344,8 @@ def check_reduction_chain(ctx: GridContext) -> float:
             return planewaves.reduction_multiplier(z, p.N) * _f(z)
 
         psi = AnalyticFunction(psi_eval, st.fn.strip_halfwidth)
-        worst = max(worst, eigen_residual(H_N, psi, st.energy, ctx.rho_samples))
-    return worst
+        resids.append(eigen_residual(H_N, psi, st.energy, ctx.rho_samples))
+    return _worst(resids)
 
 
 def check_momentum_routes(ctx: GridContext) -> float:
@@ -362,15 +369,15 @@ def _loglog_slope(xs, ys) -> float:
 def check_nonrel_spectrum_limit() -> float:
     """(E_0 - 1)/omega0 approaches the nonrelativistic value linearly in omega0."""
     omegas = (0.1, 0.05, 0.025)
-    worst = 0.0
+    resids = []
     for (N, l, g0) in ((3, 0, 0.1), (3, 1, 1.0), (5, 1, 0.5)):
         devs = []
         for om0 in omegas:
             p = ModelParams(N=N, l=l, omega0=om0, g0=g0)
             d = derive_params(p)
             devs.append(abs((energy(0, d, om0) - 1.0) / om0 - nonrel_energy(0, d.L, g0)))
-        worst = max(worst, abs(_loglog_slope(omegas, devs) - 1.0))
-    return worst
+        resids.append(abs(_loglog_slope(omegas, devs) - 1.0))
+    return _worst(resids)
 
 
 def check_taylor_limit() -> float:
@@ -382,11 +389,11 @@ def check_taylor_limit() -> float:
          lambda x: ((x - 1.0) ** 2 - 1.0) * np.exp(-0.5 * (x - 1.0) ** 2)),
     )
     lams = (0.1, 0.05, 0.025)
-    worst = 0.0
+    resids = []
     for f, fpp in cases:
-        resids = [taylor_limit_check(f, fpp, lam, pts) for lam in lams]
-        worst = max(worst, abs(_loglog_slope(lams, resids) - 4.0))
-    return worst
+        devs = [taylor_limit_check(f, fpp, lam, pts) for lam in lams]
+        resids.append(abs(_loglog_slope(lams, devs) - 4.0))
+    return _worst(resids)
 
 
 def _planewave_samples():
@@ -396,21 +403,21 @@ def _planewave_samples():
 
 def check_planewave_eigenvalue() -> float:
     samples = _planewave_samples()
-    worst = 0.0
+    resids = []
     for N in (2, 3, 5):
         for chi in (0.2, 0.5, 1.0):
             pw = planewaves.PlaneWaveParams(chi=chi, N=N)
-            worst = max(worst, planewaves.free_hamiltonian_residual(pw, samples))
-    return worst
+            resids.append(planewaves.free_hamiltonian_residual(pw, samples))
+    return _worst(resids)
 
 
 def check_planewave_eigenvalue_rest() -> float:
     samples = _planewave_samples()
-    worst = 0.0
+    resids = []
     for N in (2, 3, 5):
         pw = planewaves.PlaneWaveParams(chi=0.0, N=N)
-        worst = max(worst, planewaves.free_hamiltonian_residual(pw, samples))
-    return worst
+        resids.append(planewaves.free_hamiltonian_residual(pw, samples))
+    return _worst(resids)
 
 
 def check_planewave_nonrel_limit() -> float:
@@ -447,7 +454,7 @@ def check_gamma_identities() -> float:
     w = re2 + 1j * im2
     refl = np.abs(np.exp(specfun.log_gamma(w) + specfun.log_gamma(1.0 - w)
                          + np.log(np.sin(np.pi * w) / np.pi)) - 1.0)
-    return float(max(np.max(func), np.max(refl)))
+    return _worst((np.max(func), np.max(refl)))
 
 
 def check_cdh_norms() -> float:
@@ -457,7 +464,7 @@ def check_cdh_norms() -> float:
         specfun.CdhParams(1.3, 2.1, 0.4),
         specfun.CdhParams(2.603388468743137, 10.301824164386872, 0.5),
     )
-    worst = 0.0
+    resids = []
     for p in triples:
         for n in range(5):
             hint = DecayHint(power=2 * (p.a + p.b + p.c) + 4 * n, rate=math.pi)
@@ -467,20 +474,20 @@ def check_cdh_norms() -> float:
                 hint,
             )
             closed = specfun.cdh_norm(n, p)
-            worst = max(worst, abs(val / closed - 1.0))
-    return worst
+            resids.append(abs(val / closed - 1.0))
+    return _worst(resids)
 
 
 def check_reduction_weight_identity() -> float:
     """w_3 = 1 and |multiplier|^2 w_N rho^(N-1) = 1 on the real axis."""
     rhos = np.asarray((0.2, 0.7, 1.3, 4.0, 9.5))
-    worst = float(np.max(np.abs(planewaves.weight_wN(rhos, 3) - 1.0)))
+    resids = [np.max(np.abs(planewaves.weight_wN(rhos, 3) - 1.0))]
     for N in (2, 3, 5, 8):
         m = planewaves.reduction_multiplier(rhos, N)
         w = planewaves.weight_wN(rhos, N)
         prod = np.abs(m) ** 2 * w * rhos ** (N - 1)
-        worst = max(worst, float(np.max(np.abs(prod - 1.0))))
-    return worst
+        resids.append(np.max(np.abs(prod - 1.0)))
+    return _worst(resids)
 
 
 # --------------------------------------------------------------------------

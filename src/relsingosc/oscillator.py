@@ -36,7 +36,7 @@ from .operators import (
     shift,
     sinh_shift,
 )
-from .quadrature import DecayHint, integrate_halfline
+from .quadrature import DecayHint
 
 __all__ = [
     "ModelParams",
@@ -48,6 +48,7 @@ __all__ = [
     "nonrel_energy",
     "wavefunction_profile",
     "radial_wavefunction",
+    "norm_constant",
     "state_decay_hint",
     "quasipotential_op",
     "quasipotential_scaled",
@@ -194,16 +195,14 @@ def wavefunction_profile(p: ModelParams, n: int, d: DerivedParams | None = None)
     if n < 0 or n != int(n):
         raise ValueError("radial quantum number n must be a non-negative integer")
     d = d or derive_params(p)
-    alpha, nu, om0 = d.alpha, d.nu, p.omega0
-    log_om0 = np.log(om0)
+    alpha, nu, log_om0 = d.alpha, d.nu, np.log(p.omega0)
     cdh = specfun.CdhParams(alpha, nu, 0.5)
 
     def ev(rho):
-        z = 1j * np.asarray(rho, dtype=complex)
-        degree = specfun.generalized_degree(-np.asarray(rho, dtype=complex), alpha)
-        rest = np.exp(specfun.log_gamma(nu + z) + 1j * np.asarray(rho, dtype=complex) * log_om0)
-        poly = specfun.cdh_poly(n, np.asarray(rho, dtype=complex) ** 2, cdh)
-        out = degree * rest * poly
+        r = np.asarray(rho, dtype=complex)
+        degree = specfun.generalized_degree(-r, alpha)
+        rest = np.exp(specfun.log_gamma(nu + 1j * r) + 1j * r * log_om0)
+        out = degree * rest * specfun.cdh_poly(n, r ** 2, cdh)
         return out if np.ndim(rho) else complex(out)
 
     return AnalyticFunction(ev, STATE_STRIP_HALFWIDTH)
@@ -214,24 +213,25 @@ def state_decay_hint(d: DerivedParams, n_max: int) -> DecayHint:
     return DecayHint(power=2 * d.alpha + 2 * d.nu - 1 + 4 * n_max)
 
 
+def norm_constant(n: int, d: DerivedParams) -> float:
+    """C_n = sqrt(2/h_n), with h_n the continuous dual Hahn norm at (alpha, nu, 1/2);
+    raises where h_n overflows (nu >~ 100, omega0 <~ 0.01) instead of returning 0."""
+    c = float(np.sqrt(2.0 / specfun.cdh_norm(n, specfun.CdhParams(d.alpha, d.nu, 0.5))))
+    if not (np.isfinite(c) and c > 0):
+        raise InvalidParametersError(f"norm constant sqrt(2/h_{n}) = {c} is not finite and "
+                                     f"positive for alpha={d.alpha:.6g}, nu={d.nu:.6g}")
+    return c
+
+
 def radial_wavefunction(p: ModelParams, n: int) -> RadialState:
-    """Normalized bound state: quadrature-normalized per the unit-norm condition
-    on [0, inf), with the normalization constant fixed positive real."""
+    """Unit-norm bound state norm_constant(n, d) * wavefunction_profile(p, n, d)."""
     d = derive_params(p)
     profile = wavefunction_profile(p, n, d)
-    hint = state_decay_hint(d, n)
-    raw_sq, _ = integrate_halfline(lambda r: np.abs(profile(r)) ** 2, hint)
-    if not raw_sq > 0:
-        raise InvalidParametersError("normalization integral not positive")
-    c = 1.0 / np.sqrt(raw_sq)
-
-    def ev(rho, _c=c, _f=profile.fn):
-        return _c * _f(rho)
-
+    c = norm_constant(n, d)
     return RadialState(
-        params=p, derived=d, n=int(n), energy=energy(n, d, p.omega0),
-        norm_const=float(c),
-        fn=AnalyticFunction(ev, profile.strip_halfwidth, profile.singular_points),
+        params=p, derived=d, n=int(n), energy=energy(n, d, p.omega0), norm_const=c,
+        fn=AnalyticFunction(lambda rho: c * profile.fn(rho), profile.strip_halfwidth,
+                            profile.singular_points),
     )
 
 
@@ -313,7 +313,6 @@ def eigen_residual(op: LinearOperator, state_fn: AnalyticFunction, e_value: floa
                    points=RHO_SAMPLES) -> float:
     """Max relative pointwise residual |(op f)(rho) - E f(rho)| / (|E f(rho)| + guard)."""
     pts = np.asarray(points, dtype=float)
-    image = op.apply(state_fn)
-    lhs = np.asarray(image(pts))
+    lhs = np.asarray(op.apply(state_fn)(pts))
     rhs = e_value * np.asarray(state_fn(pts))
     return float(np.max(np.abs(lhs - rhs) / (np.abs(rhs) + _RESIDUAL_GUARD)))

@@ -108,7 +108,7 @@ def free_hamiltonian_residual(pw: PlaneWaveParams, samples,
     """
     N, chi = pw.N, pw.chi
     e_val = np.cosh(chi) if eigenvalue is None else eigenvalue
-    worst = 0.0
+    resids = []
     for rho, theta in samples:
         if not (THETA_WINDOW[0] <= theta <= THETA_WINDOW[1]):
             raise ValueError(f"theta = {theta} outside the supported window {THETA_WINDOW}")
@@ -119,8 +119,8 @@ def free_hamiltonian_residual(pw: PlaneWaveParams, samples,
         lap = _angular_laplacian(N, chi, rho + 1j, theta, h)
         val = val - lap / (rho * (2.0 * rho - 1j * (N - 3)))
         ref = e_val * _xi(N, chi, rho, ct)
-        worst = max(worst, float(abs(val - ref) / abs(ref)))
-    return worst
+        resids.append(abs(val - ref) / abs(ref))
+    return float(np.max(resids, initial=0.0))  # unlike the builtin max, keeps a nan
 
 
 def weight_wN(rho, N: int):

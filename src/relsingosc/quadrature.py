@@ -1,4 +1,4 @@
-"""Half-line integration for normalization, Gram matrices, and projections.
+"""Half-line integration for Gram matrices, norm certificates and projections.
 
 Composite Gauss-Legendre panels on [0, rho_max] with adaptive refinement.
 The integrands in scope (wavefunction products, gamma-weight profiles) are

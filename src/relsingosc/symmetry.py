@@ -45,6 +45,7 @@ from .oscillator import (
     derive_params,
     energy,
     hamiltonian_reduced,
+    norm_constant,
     radial_wavefunction,
 )
 from . import specfun
@@ -311,15 +312,15 @@ def commutator_residual(X: LinearOperator, Y: LinearOperator, rhs: LinearOperato
     (plus an underflow guard), so [X, X] against rhs = 0 is exactly zero.
     """
     pts = np.asarray(points, dtype=float)
-    worst = 0.0
+    resids = []
     for f in testfns:
         xy = X.apply(Y.apply(f))(pts)
         yx = Y.apply(X.apply(f))(pts)
         r = rhs.apply(f)(pts)
         num = np.abs(xy - yx - r)
         den = np.maximum(np.maximum(np.abs(xy), np.abs(yx)), np.abs(r)) + _GUARD
-        worst = max(worst, float(np.max(num / den)))
-    return worst
+        resids.append(np.max(num / den))
+    return float(np.max(resids, initial=0.0))  # unlike the builtin max, keeps a nan
 
 
 def generate_state_via_ladder(p: ModelParams, n: int, max_rungs: int = 8) -> RadialState:
@@ -345,10 +346,7 @@ def generate_state_via_ladder(p: ModelParams, n: int, max_rungs: int = 8) -> Rad
     for k in range(1, n + 1):
         pref *= -1.0 / np.sqrt(lc.f_energy(k))
     chain = compose(scale(pref), *[build_A_plus(p)] * n)
-
-    # the constant of the state this chain reproduces, from the closed-form norm
-    h_n = specfun.cdh_norm(n, specfun.CdhParams(d.alpha, d.nu, 0.5))
     return RadialState(
         params=p, derived=d, n=int(n), energy=energy(n, d, p.omega0),
-        norm_const=float(np.sqrt(2.0 / h_n)), fn=chain.apply(ground.fn),
+        norm_const=norm_constant(n, d), fn=chain.apply(ground.fn),
     )

@@ -98,6 +98,14 @@ def test_eval_invalid_point_exits_2(capsys):
     assert "skipped" in err
 
 
+def test_eval_overflowing_norm_is_skipped(capsys):
+    code, out, err = run(capsys, ["eval", "--dims", "3", "--l", "1", "--omega0", "0.008",
+                                  "--g0", "1", "--n-max", "0"])
+    assert code == 2
+    assert out == ""
+    assert "# skipped N=3 l=1 omega0=0.008 g0=1.0" in err
+
+
 def test_verify_small_grid_passes(capsys):
     code, out, _ = run(capsys, ["verify"] + VALID + ["--checks", FAST_CHECKS])
     assert code == 0
@@ -139,9 +147,10 @@ def _reject_constant(name):
 
 
 def test_verify_errored_checks_give_strict_json(capsys):
-    # every state beyond n ~ 10 fails to normalize here, so several checks error
-    code, out, _ = run(capsys, ["verify", "--dims", "3", "--l", "1", "--omega0", "0.2",
-                                "--g0", "1", "--n-max", "15", "--format", "json"])
+    # the closed-form norm overflows at omega0 = 0.001, so every check that
+    # needs a state errors
+    code, out, _ = run(capsys, ["verify", "--dims", "3", "--l", "1", "--omega0", "0.001",
+                                "--g0", "1", "--n-max", "2", "--format", "json"])
     assert code == 1
     data = json.loads(out, parse_constant=_reject_constant)
     errors = [e for e in data["entries"] if e["status"] == "error"]
@@ -150,6 +159,16 @@ def test_verify_errored_checks_give_strict_json(capsys):
         assert e["residual"] is None and e["pass"] is False
         assert e["reason"].startswith("error: ")
     assert data["summary"]["failed"] == len(errors)
+
+
+def test_verify_high_excitations_give_finite_residuals(capsys):
+    # states up to n = 15 normalize in closed form, so no check errors; the
+    # exit code is left open (eigen-residual loses digits in cdh_poly there)
+    _, out, _ = run(capsys, ["verify", "--dims", "3", "--l", "1", "--omega0", "0.2",
+                             "--g0", "1", "--n-max", "15", "--format", "json"])
+    data = json.loads(out, parse_constant=_reject_constant)
+    assert [e for e in data["entries"] if e["status"] == "error"] == []
+    assert all(np.isfinite(e["residual"]) for e in data["entries"])
 
 
 def test_error_entries_render_null_in_every_format():

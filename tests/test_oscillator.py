@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relsingosc import oscillator, quadrature
 from relsingosc.operators import AnalyticFunction, compose, multiply_by, op_sum, shift, sinh_shift, cosh_shift
 from relsingosc.oscillator import (
     RHO_SAMPLES,
@@ -15,8 +16,9 @@ from relsingosc.oscillator import (
     quasipotential_op,
     quasipotential_scaled,
     radial_wavefunction,
+    wavefunction_profile,
 )
-from relsingosc.quadrature import gram_matrix
+from relsingosc.quadrature import gram_matrix, integrate_halfline
 from relsingosc.oscillator import state_decay_hint
 from relsingosc.specfun import CdhParams, cdh_norm
 
@@ -109,19 +111,49 @@ def test_wavefunction_vanishes_at_origin_and_unit_norm():
     vals = np.abs(st.fn(np.array([1e-8, 1e-6])))
     assert np.all(vals < 1e-5)
     hint = state_decay_hint(st.derived, 0)
-    from relsingosc.quadrature import integrate_halfline
     norm, _ = integrate_halfline(lambda r: np.abs(st.fn(r)) ** 2, hint)
     assert norm == pytest.approx(1.0, abs=1e-8)
 
 
-def test_norm_const_matches_closed_form():
-    # quadrature normalization against sqrt(2 / h_n) with h_n the closed-form
-    # polynomial norm at (alpha, nu, 1/2)
-    d = derive_params(EX3)
-    for n in (0, 1, 3):
+# points of the eval-states domain: N <= 8, l <= 2, omega0 in [0.05, 1], g0 in [0.1, 1]
+DOMAIN_POINTS = (
+    ModelParams(N=2, l=0, omega0=1.0, g0=0.1),
+    ModelParams(N=3, l=1, omega0=0.1, g0=1.0),
+    ModelParams(N=5, l=0, omega0=0.1, g0=0.5),
+    ModelParams(N=8, l=2, omega0=0.05, g0=1.0),
+)
+
+
+def test_norm_const_matches_independent_quadrature():
+    # the closed form sqrt(2 / h_n) against a half-line quadrature of the
+    # unnormalized profile, which stays the reference
+    for p in DOMAIN_POINTS:
+        d = derive_params(p)
+        for n in range(6):
+            profile = wavefunction_profile(p, n, d)
+            raw_sq, _ = integrate_halfline(lambda r: np.abs(profile(r)) ** 2,
+                                           state_decay_hint(d, n))
+            closed = np.sqrt(2.0 / cdh_norm(n, CdhParams(d.alpha, d.nu, 0.5)))
+            assert closed == pytest.approx(1.0 / np.sqrt(raw_sq), rel=1e-10), (p, n)
+            assert radial_wavefunction(p, n).norm_const == closed
+
+
+def test_radial_wavefunction_needs_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    for name in ("integrate_halfline", "inner_product", "gram_matrix", "halfline_rule"):
+        monkeypatch.setattr(quadrature, name, refuse)
+        monkeypatch.setattr(oscillator, name, refuse, raising=False)
+    for n in range(4):
         st = radial_wavefunction(EX3, n)
-        closed = np.sqrt(2.0 / cdh_norm(n, CdhParams(d.alpha, d.nu, 0.5)))
-        assert st.norm_const == pytest.approx(closed, rel=1e-10)
+        assert np.all(np.isfinite(st.fn(np.asarray(RHO_SAMPLES))))
+
+
+def test_overflowing_norm_raises():
+    # h_n overflows at nu ~ 125: the state is rejected, not returned as R = 0
+    with pytest.raises(InvalidParametersError, match="not finite and positive"):
+        radial_wavefunction(ModelParams(N=3, l=1, omega0=0.008, g0=1.0), 0)
 
 
 def test_gram_matrix_identity():

@@ -297,6 +297,11 @@ def test_generate_state_via_ladder(states):
         assert norm == pytest.approx(1.0, abs=1e-6)
 
 
+def test_ladder_and_direct_states_share_the_norm_constant(states):
+    for n in range(5):
+        assert generate_state_via_ladder(P, n).norm_const == states[n].norm_const
+
+
 def test_generate_state_budget_guard():
     with pytest.raises(ValueError):
         generate_state_via_ladder(P, 9)
