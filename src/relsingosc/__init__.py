@@ -11,6 +11,7 @@ numerically certifies every identity the model asserts.
 
 from .specfun import (
     CdhParams,
+    cdh_log_norm,
     cdh_norm,
     cdh_poly,
     cdh_weight,
@@ -39,6 +40,8 @@ from .quadrature import (
     DecayHint,
     QuadratureConvergenceError,
     QuadratureRule,
+    cdh_gauss_rule,
+    cdh_gram,
     gram_matrix,
     inner_product,
     integrate_halfline,

@@ -40,9 +40,8 @@ from .oscillator import (
     nonrel_energy,
     quasipotential_scaled,
     radial_wavefunction,
-    state_decay_hint,
 )
-from .quadrature import DecayHint, gram_matrix, integrate_halfline
+from .quadrature import DecayHint, cdh_gram, integrate_halfline
 from .symmetry import (
     CoefficientState,
     LadderCoefficients,
@@ -127,7 +126,11 @@ class GridContext:
         self.n_max = int(n_max)
         self.rho_samples = tuple(rho_samples)
         self.derived = derive_params(params)
+        # the continuous dual Hahn triple of the states: its Gauss rule
+        # integrates every product of R_0..R_{M-1} exactly
+        self.cdh = specfun.CdhParams(self.derived.alpha, self.derived.nu, 0.5)
         self._states: dict[int, object] = {}
+        self._ladder_states: dict[int, object] = {}
         self._ops: dict[str, object] = {}
         self._gram: tuple[float, float] | None = None
 
@@ -135,6 +138,12 @@ class GridContext:
         if n not in self._states:
             self._states[n] = radial_wavefunction(self.params, n)
         return self._states[n]
+
+    def ladder_state(self, n: int):
+        """R_n built as (K+)^n R_0, shared by the state-generation checks."""
+        if n not in self._ladder_states:
+            self._ladder_states[n] = generate_state_via_ladder(self.params, n)
+        return self._ladder_states[n]
 
     def states(self, up_to: int):
         return {n: self.state(n) for n in range(up_to + 1)}
@@ -153,11 +162,20 @@ class GridContext:
         return self._ops[name]
 
     def gram(self) -> tuple[float, float]:
-        """(max |G - I| entry, quadrature est_error) of the Gram matrix of R_0..R_nmax."""
+        """(max |G_M - I|, max |G_{M+1} - G_M|) for the Gram matrices G_M of
+        R_0..R_nmax by the M- and (M+1)-point Gauss-CDH rules, M = n_max + 1.
+
+        Both rules are exact for the true states, so the first entry is the
+        orthonormality defect of the evaluated states and the second the
+        rounding (or the departure of a state from the polynomial form) that
+        one more node exposes."""
         if self._gram is None:
-            fns = [self.state(n).fn for n in range(self.n_max + 1)]
-            G, est = gram_matrix(fns, state_decay_hint(self.derived, self.n_max))
-            self._gram = (float(np.max(np.abs(G - np.eye(len(fns))))), est)
+            M = self.n_max + 1
+            fns = [self.state(n).fn for n in range(M)]
+            G = cdh_gram(fns, self.cdh, M)
+            G_next = cdh_gram(fns, self.cdh, M + 1)
+            self._gram = (float(np.max(np.abs(G - np.eye(M)))),
+                          float(np.max(np.abs(G_next - G))))
         return self._gram
 
     def energy_of(self, n: int) -> float:
@@ -313,22 +331,18 @@ def check_state_generation(ctx: GridContext) -> float:
     pts = np.asarray(ctx.rho_samples)
     resids = []
     for n in range(1, min(4, ctx.n_max) + 1):
-        gen = generate_state_via_ladder(ctx.params, n)
         want = np.asarray(ctx.state(n).fn(pts))
-        got = np.asarray(gen.fn(pts))
+        got = np.asarray(ctx.ladder_state(n).fn(pts))
         resids.append(_pointwise_match(got, want, float(np.max(np.abs(want)))))
     return _worst(resids)
 
 
 def check_state_generation_norm(ctx: GridContext) -> float:
-    """|quadrature norm - 1| of ladder-generated states, n <= 4."""
-    resids = []
-    hint = state_decay_hint(ctx.derived, 4)
-    for n in range(1, min(4, ctx.n_max) + 1):
-        gen = generate_state_via_ladder(ctx.params, n)
-        val, _ = integrate_halfline(lambda r: np.abs(gen.fn(r)) ** 2, hint)
-        resids.append(abs(val - 1.0))
-    return _worst(resids)
+    """|norm - 1| of ladder-generated states, n <= 4, by the Gauss-CDH rule
+    with top + 1 nodes, exact for the true states up to n = top."""
+    top = min(4, ctx.n_max)
+    G = cdh_gram([ctx.ladder_state(n).fn for n in range(1, top + 1)], ctx.cdh, top + 1)
+    return _worst(np.abs(np.diag(G) - 1.0))
 
 
 def check_reduction_chain(ctx: GridContext) -> float:
@@ -509,9 +523,10 @@ CHECKS: dict[str, CheckDef] = {c.check_id: c for c in [
           "perturbing E by 0.1 omega0 must raise the residual above 1e-3 "
           "(reports threshold/observed)"),
     _grid("orthonormality", 1e-6, check_orthonormality,
-          "Gram matrix of R_0..R_nmax vs identity (quadrature)"),
+          "Gram matrix of R_0..R_nmax vs identity (Gauss-CDH rule with n_max+1 "
+          "nodes, exact for the true states)"),
     _grid("orthonormality-quadrature-error", 1e-8, check_orthonormality_quadrature_error,
-          "reported quadrature refinement error of the Gram matrix"),
+          "change of that Gram matrix under one more Gauss-CDH node"),
     _grid("factorization", 1e-8, check_factorization,
           "omega0 (a+ a- + alpha + nu) R_n = E_n R_n pointwise"),
     _grid("commutator-hamiltonian-ladder", 1e-7, check_commutator_hamiltonian_ladder,
@@ -527,7 +542,7 @@ CHECKS: dict[str, CheckDef] = {c.check_id: c for c in [
     _grid("state-generation", 1e-7, check_state_generation,
           "ladder-generated R_n matches direct evaluation pointwise, n <= 4"),
     _grid("state-generation-norm", 1e-6, check_state_generation_norm,
-          "ladder-generated R_n has unit quadrature norm, n <= 4"),
+          "ladder-generated R_n has unit norm by the Gauss-CDH rule, n <= 4"),
     _grid("reduction-chain", 1e-8, check_reduction_chain,
           "multiplier-mapped R_n solves the unreduced N-dimensional equation"),
     _grid("momentum-routes", 1e-9, check_momentum_routes,

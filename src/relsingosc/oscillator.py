@@ -68,6 +68,8 @@ RHO_SAMPLES = (0.3, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 STATE_STRIP_HALFWIDTH = 18.0
 
 _RESIDUAL_GUARD = 1e-300
+# exp(x) is a finite float exactly when x <= log(DBL_MAX)
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 class InvalidParametersError(ValueError):
@@ -215,12 +217,14 @@ def state_decay_hint(d: DerivedParams, n_max: int) -> DecayHint:
 
 def norm_constant(n: int, d: DerivedParams) -> float:
     """C_n = sqrt(2/h_n), with h_n the continuous dual Hahn norm at (alpha, nu, 1/2);
-    raises where h_n overflows (nu >~ 100, omega0 <~ 0.01) instead of returning 0."""
-    c = float(np.sqrt(2.0 / specfun.cdh_norm(n, specfun.CdhParams(d.alpha, d.nu, 0.5))))
-    if not (np.isfinite(c) and c > 0):
-        raise InvalidParametersError(f"norm constant sqrt(2/h_{n}) = {c} is not finite and "
-                                     f"positive for alpha={d.alpha:.6g}, nu={d.nu:.6g}")
-    return c
+    raises where h_n overflows a float (nu >~ 100, omega0 <~ 0.01) instead of
+    returning 0."""
+    log_h = specfun.cdh_log_norm(n, specfun.CdhParams(d.alpha, d.nu, 0.5))
+    if not log_h <= _LOG_FLOAT_MAX:
+        raise InvalidParametersError(f"norm constant sqrt(2/h_{n}) is not finite and positive: "
+                                     f"h_{n} = exp({log_h:.6g}) overflows for "
+                                     f"alpha={d.alpha:.6g}, nu={d.nu:.6g}")
+    return float(np.sqrt(2.0 / np.exp(log_h)))
 
 
 def radial_wavefunction(p: ModelParams, n: int) -> RadialState:

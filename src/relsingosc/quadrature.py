@@ -1,11 +1,25 @@
 """Half-line integration for Gram matrices, norm certificates and projections.
 
-Composite Gauss-Legendre panels on [0, rho_max] with adaptive refinement.
-The integrands in scope (wavefunction products, gamma-weight profiles) are
-smooth with a removable zero at the origin and power-times-exponential
-tails, so fixed-width panels plus an envelope-driven truncation point beat
-variable transformations. Every integral is reported together with an
-error estimate taken from the last panel-refinement difference.
+Two independent rules live here.
+
+* The Gauss rule of the continuous dual Hahn (CDH) weight
+  (`cdh_gauss_rule`, `cdh_gram`). Every radial state is a CDH polynomial
+  S_n(rho^2; alpha, nu, 1/2) times the square root of that weight, so
+  conj(R_m) R_n divided by the weight is a polynomial of degree m + n in
+  rho^2, and the M-point rule integrates it exactly for m, n <= M - 1. The
+  rule is Golub-Welsch on the KLS 9.3 recurrence: it is built from the
+  recurrence coefficients, the closed-form norm h_0 and `cdh_weight` only,
+  never from `cdh_poly` or the states, so a wrong state cannot give an
+  identity Gram matrix by construction. The certificate checks use it.
+* Composite Gauss-Legendre panels on [0, rho_max] with adaptive
+  refinement (`integrate_halfline`, `inner_product`, `gram_matrix`). The
+  integrands in scope (wavefunction products, gamma-weight profiles) are
+  smooth with a removable zero at the origin and power-times-exponential
+  tails, so fixed-width panels plus an envelope-driven truncation point
+  beat variable transformations. Every integral is reported together with
+  an error estimate taken from the last panel-refinement difference. It
+  assumes nothing about the integrand and stays the independent reference
+  (`cdh-norms` and the tests).
 """
 
 from __future__ import annotations
@@ -17,6 +31,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .operators import AnalyticFunction
+from .specfun import CdhParams, cdh_log_norm, cdh_weight
 
 __all__ = [
     "DecayHint",
@@ -27,6 +42,8 @@ __all__ = [
     "integrate_halfline",
     "inner_product",
     "gram_matrix",
+    "cdh_gauss_rule",
+    "cdh_gram",
 ]
 
 DEFAULT_RHO_MAX = 60.0
@@ -175,3 +192,45 @@ def gram_matrix(fns, decay_hint: DecayHint | None = None) -> tuple[np.ndarray, f
     coarse = assemble(1)
     fine = assemble(2)
     return fine, float(np.max(np.abs(fine - coarse)))
+
+
+def cdh_gauss_rule(M: int, p: CdhParams) -> tuple[np.ndarray, np.ndarray]:
+    """M-point Gauss rule of the continuous dual Hahn weight, as (x_k, log lambda_k).
+
+    sum_k lambda_k g(x_k^2) equals the integral of g(x^2) cdh_weight(x, p) / (2 pi)
+    over x in [0, inf) for every polynomial g of degree <= 2M - 1
+    (Golub & Welsch, Math. Comp. 23, 1969). The y_k = x_k^2 are the
+    eigenvalues of the Jacobi matrix of the monic recurrence (KLS 9.3),
+
+        diagonal A_n + C_n - a^2,  off-diagonal sqrt(A_{n-1} C_n),
+        A_n = (n+a+b)(n+a+c),  C_n = n(n+b+c-1),
+
+    and lambda_k = h_0 v_{0k}^2 with v_k its unit eigenvectors. The weights
+    are returned as logs, so that h_0 may exceed a float.
+    """
+    p.require_positive()
+    if M < 1 or M != int(M):
+        raise ValueError("number of Gauss nodes must be a positive integer")
+    a, b, c = p.a, p.b, p.c
+    n = np.arange(int(M), dtype=float)
+    A = (n + a + b) * (n + a + c)
+    C = n * (n + b + c - 1.0)
+    off = np.sqrt(A[:-1] * C[1:])
+    # dense eigh of an M x M matrix, M ~ n_max: scipy.linalg's tridiagonal
+    # solver would cost its import (~6 MB resident) in every process
+    y, v = np.linalg.eigh(np.diag(A + C - a * a) + np.diag(off, 1) + np.diag(off, -1))
+    return np.sqrt(y), cdh_log_norm(0, p) + 2.0 * np.log(np.abs(v[0]))
+
+
+def cdh_gram(fns, p: CdhParams, M: int) -> np.ndarray:
+    """G[i, j] = integral of conj(fns[i]) fns[j] over [0, inf) by the M-point
+    Gauss-CDH rule: sum_k lambda_k conj(f_i) f_j (x_k) 2 pi / cdh_weight(x_k).
+
+    Exact when every conj(f_i) f_j / cdh_weight is a polynomial of degree
+    <= 2M - 1 in x^2, as for the radial states R_0..R_{M-1} at
+    (alpha, nu, 1/2); each function is evaluated at the M nodes only.
+    """
+    x, log_lam = cdh_gauss_rule(M, p)
+    weights = np.exp(log_lam + math.log(2.0 * math.pi) - np.log(cdh_weight(x, p)))
+    vals = np.array([np.asarray(f(x)) for f in fns], dtype=complex).reshape(len(fns), len(x))
+    return (np.conj(vals) * weights) @ vals.T

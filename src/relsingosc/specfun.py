@@ -27,6 +27,7 @@ __all__ = [
     "generalized_degree",
     "cdh_poly",
     "cdh_weight",
+    "cdh_log_norm",
     "cdh_norm",
 ]
 
@@ -220,10 +221,14 @@ def cdh_weight(x, p: CdhParams) -> float | np.ndarray:
     return out
 
 
-def cdh_norm(n: int, p: CdhParams) -> float:
-    """Closed-form orthogonality norm of S_n under cdh_weight/(2 pi) on [0, inf):
+def cdh_log_norm(n: int, p: CdhParams) -> float:
+    """log h_n of the closed-form orthogonality norm of S_n under
+    cdh_weight/(2 pi) on [0, inf):
 
-        Gamma(n+a+b) Gamma(n+a+c) Gamma(n+b+c) n!
+        h_n = Gamma(n+a+b) Gamma(n+a+c) Gamma(n+b+c) n!
+
+    Finite wherever the parameters are valid, also where h_n itself
+    overflows a float.
     """
     p.require_positive()
     if n < 0 or n != int(n):
@@ -235,4 +240,9 @@ def cdh_norm(n: int, p: CdhParams) -> float:
         + _loggamma(n + b + c)
         + _loggamma(n + 1.0)
     )
-    return float(np.exp(np.real(lg)))
+    return float(np.real(lg))
+
+
+def cdh_norm(n: int, p: CdhParams) -> float:
+    """Closed-form orthogonality norm h_n = exp(cdh_log_norm(n, p))."""
+    return float(np.exp(cdh_log_norm(n, p)))

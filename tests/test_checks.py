@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from relsingosc import checks
 from relsingosc.checks import CHECKS, GridContext, _run_check
 from relsingosc.operators import AnalyticFunction
 from relsingosc.oscillator import ModelParams
@@ -30,3 +31,18 @@ def test_nan_residuals_become_error_entries(cid):
     assert out.status == "error"
     assert out.residual is None and out.passed is False
     assert "nan" in out.reason
+
+
+def test_ladder_states_built_once_per_point(monkeypatch):
+    builds = []
+
+    def counting(p, n, *args, **kwargs):
+        builds.append(n)
+        return original(p, n, *args, **kwargs)
+
+    original = checks.generate_state_via_ladder
+    monkeypatch.setattr(checks, "generate_state_via_ladder", counting)
+    ctx = GridContext(P)
+    for cid in ("state-generation", "state-generation-norm"):
+        assert CHECKS[cid].runner(ctx) < CHECKS[cid].default_tol
+    assert sorted(builds) == [1, 2, 3, 4]

@@ -156,6 +156,14 @@ def test_overflowing_norm_raises():
         radial_wavefunction(ModelParams(N=3, l=1, omega0=0.008, g0=1.0), 0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_norm_raises_without_warning():
+    # the overflow is seen in log space, so no RuntimeWarning precedes the error
+    d = derive_params(ModelParams(N=3, l=1, omega0=0.008, g0=1.0))
+    with pytest.raises(InvalidParametersError, match="not finite and positive"):
+        oscillator.norm_constant(0, d)
+
+
 def test_gram_matrix_identity():
     states = [radial_wavefunction(EX3, n) for n in range(6)]
     hint = state_decay_hint(states[0].derived, 5)

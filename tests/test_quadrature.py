@@ -1,17 +1,33 @@
+import dataclasses
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
+from relsingosc import oscillator, quadrature, specfun
+from relsingosc.checks import CHECKS, GridContext
 from relsingosc.operators import AnalyticFunction
-from relsingosc.oscillator import ModelParams, radial_wavefunction, state_decay_hint
+from relsingosc.oscillator import (
+    ModelParams,
+    derive_params,
+    norm_constant,
+    radial_wavefunction,
+    state_decay_hint,
+    wavefunction_profile,
+)
 from relsingosc.quadrature import (
     DecayHint,
     QuadratureConvergenceError,
+    cdh_gauss_rule,
+    cdh_gram,
     choose_rho_max,
     gram_matrix,
     halfline_rule,
     inner_product,
     integrate_halfline,
 )
+from relsingosc.specfun import CdhParams
 
 P = ModelParams(N=3, l=1, omega0=0.1, g0=1.0)
 
@@ -102,3 +118,152 @@ def test_gram_matrix_matches_pairwise():
     assert G[1, 1] == pytest.approx(1.0, abs=1e-8)
     assert abs(G[0, 1]) < 1e-7
     assert est < 1e-8
+
+
+# --------------------------------------------------------------------------
+# Gauss rule of the continuous dual Hahn weight
+# --------------------------------------------------------------------------
+
+_COLUMN_N8 = derive_params(ModelParams(N=8, l=1, omega0=0.05, g0=0.1))
+# the cdh-norms triples and the states' triple at the verify-grid column's N = 8 point
+RULE_TRIPLES = (
+    CdhParams(0.5, 0.5, 0.5),
+    CdhParams(1.3, 2.1, 0.4),
+    CdhParams(2.603388468743137, 10.301824164386872, 0.5),
+    CdhParams(_COLUMN_N8.alpha, _COLUMN_N8.nu, 0.5),
+)
+GAUSS_P = ModelParams(N=3, l=1, omega0=0.2, g0=1.0)
+
+
+def _cdh_poly_mp(n, y, p):
+    """S_n(y; a, b, c) by its terminating sum in mpmath: a reference free of
+    the cancellation that limits the float sum at high degree."""
+    a, b, c = (mpmath.mpf(v) for v in (p.a, p.b, p.c))
+    total, term = mpmath.mpf(0), mpmath.mpf(1)
+    for k in range(n + 1):
+        total += term
+        term *= -(n - k) * ((a + k) ** 2 + y) / ((a + b + k) * (a + c + k) * (k + 1))
+    return mpmath.rf(a + b, n) * mpmath.rf(a + c, n) * total
+
+
+@pytest.mark.parametrize("p", RULE_TRIPLES)
+def test_cdh_gauss_rule_is_exact_to_degree_2m_minus_1(p):
+    with mpmath.workdps(40):
+        for M in range(1, 8):
+            x, log_lam = cdh_gauss_rule(M, p)
+            lam = [mpmath.mpf(float(v)) for v in np.exp(log_lam)]
+            ys = [mpmath.mpf(float(v)) ** 2 for v in x]
+            S = [[_cdh_poly_mp(n, y, p) for y in ys] for n in range(2 * M)]
+            for m in range(2 * M):
+                for n in range(2 * M - m):
+                    got = mpmath.fsum(lk * sm * sn for lk, sm, sn in zip(lam, S[m], S[n]))
+                    want = specfun.cdh_norm(n, p) if m == n else 0.0
+                    scale = math.sqrt(specfun.cdh_norm(m, p) * specfun.cdh_norm(n, p))
+                    assert abs(float(got) - want) <= 1e-12 * scale, (M, m, n)
+
+
+def _golub_welsch_mp(M, p):
+    """Nodes and weights of the M-point rule from the same Jacobi matrix, at 50 digits."""
+    a, b, c = (mpmath.mpf(v) for v in (p.a, p.b, p.c))
+    J = mpmath.zeros(M, M)
+    for n in range(M):
+        J[n, n] = (n + a + b) * (n + a + c) + n * (n + b + c - 1) - a * a
+        if n:
+            J[n, n - 1] = J[n - 1, n] = mpmath.sqrt(
+                (n - 1 + a + b) * (n - 1 + a + c) * n * (n + b + c - 1))
+    E, Q = mpmath.eigsy(J)
+    h0 = mpmath.gamma(a + b) * mpmath.gamma(a + c) * mpmath.gamma(b + c)
+    order = sorted(range(M), key=lambda k: E[k])
+    return ([float(mpmath.sqrt(E[k])) for k in order],
+            [float(h0 * Q[0, k] ** 2) for k in order])
+
+
+@pytest.mark.parametrize("p", RULE_TRIPLES)
+def test_cdh_gauss_rule_matches_mpmath_golub_welsch(p):
+    with mpmath.workdps(50):
+        for M in range(1, 9):
+            x, log_lam = cdh_gauss_rule(M, p)
+            x_ref, lam_ref = _golub_welsch_mp(M, p)
+            np.testing.assert_allclose(x, x_ref, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(np.exp(log_lam), lam_ref, rtol=1e-13, atol=0)
+
+
+def test_gauss_and_legendre_gram_agree():
+    states = [radial_wavefunction(GAUSS_P, n) for n in range(6)]
+    d = states[0].derived
+    fns = [s.fn for s in states]
+    legendre, _ = gram_matrix(fns, state_decay_hint(d, 5))
+    gauss = cdh_gram(fns, CdhParams(d.alpha, d.nu, 0.5), 6)
+    assert np.max(np.abs(gauss - legendre)) < 1e-12
+    assert np.max(np.abs(gauss - np.eye(6))) < 1e-12
+
+
+def test_cdh_gauss_rule_needs_no_state_code(monkeypatch):
+    # built from the recurrence, h_0 and the weight only: a wrong cdh_poly or
+    # state cannot make the Gram matrix the identity by construction
+    def refuse(*args, **kwargs):
+        raise AssertionError("state code called")
+
+    for mod, name in ((specfun, "cdh_poly"), (oscillator, "radial_wavefunction"),
+                      (oscillator, "wavefunction_profile")):
+        monkeypatch.setattr(mod, name, refuse)
+    monkeypatch.setattr(quadrature, "cdh_poly", refuse, raising=False)
+    p = CdhParams(1.3, 2.1, 0.4)
+    x, log_lam = cdh_gauss_rule(6, p)
+    assert np.all(np.diff(x) > 0) and x[0] > 0
+    assert np.sum(np.exp(log_lam)) == pytest.approx(specfun.cdh_norm(0, p), rel=1e-13)
+
+
+def _rebuilt(st, d, scale=1.0):
+    """The state st built again from derived parameters d, times scale."""
+    profile = wavefunction_profile(st.params, st.n, d)
+    c = norm_constant(st.n, d) * scale
+    return dataclasses.replace(st, norm_const=c, fn=AnalyticFunction(
+        lambda z: c * profile.fn(z), profile.strip_halfwidth))
+
+
+class ScaledState(GridContext):
+    """R_2 with its normalization constant multiplied by 1 + 1e-5."""
+
+    def state(self, n):
+        st = super().state(n)
+        return _rebuilt(st, self.derived, 1.0 + 1e-5) if n == 2 else st
+
+
+class ShiftedNu(GridContext):
+    """R_2 built with nu perturbed by 1e-3."""
+
+    def state(self, n):
+        st = super().state(n)
+        if n != 2:
+            return st
+        return _rebuilt(st, dataclasses.replace(self.derived, nu=self.derived.nu + 1e-3))
+
+
+class ScaledLadderState(GridContext):
+    """The ladder-built R_3 multiplied by 1 + 1e-5."""
+
+    def ladder_state(self, n):
+        st = super().ladder_state(n)
+        if n != 3:
+            return st
+        return dataclasses.replace(st, fn=AnalyticFunction(
+            lambda z: (1.0 + 1e-5) * st.fn.fn(z), st.fn.strip_halfwidth))
+
+
+@pytest.mark.parametrize("ctx_cls, cid", [
+    (GridContext, "orthonormality"),
+    (GridContext, "state-generation-norm"),
+])
+def test_gauss_checks_pass_on_true_states(ctx_cls, cid):
+    assert CHECKS[cid].runner(ctx_cls(GAUSS_P)) < 1e-12
+
+
+@pytest.mark.parametrize("ctx_cls, cid", [
+    (ScaledState, "orthonormality"),
+    (ShiftedNu, "orthonormality"),
+    (ShiftedNu, "orthonormality-quadrature-error"),
+    (ScaledLadderState, "state-generation-norm"),
+])
+def test_gauss_checks_see_perturbed_states(ctx_cls, cid):
+    assert CHECKS[cid].runner(ctx_cls(GAUSS_P)) > CHECKS[cid].default_tol
