@@ -14,7 +14,6 @@ from relsingosc import (
     free_hamiltonian_residual,
     reduction_multiplier,
     weight_wN,
-    xi_3d,
     xi_Nd,
 )
 from relsingosc.planewaves import xi_nonrel_deviation
@@ -34,12 +33,13 @@ print("(radial shifts are exact; the ~1e-9 floor is the angular finite differenc
 
 print()
 print("=" * 72)
-print("2. The N = 3 wave is the general formula at N = 3")
+print("2. At N = 3 the wave is (cosh chi - sinh chi cos theta)^(-1 - i rho)")
 print("=" * 72)
 pw = PlaneWaveParams(chi=0.7, N=3)
 for rho, ct in ((0.5, 0.3), (4.0, -0.8)):
-    a, b = xi_3d(pw, rho, ct), xi_Nd(pw, rho, ct)
-    print(f"  rho={rho}, cos(theta)={ct}: xi_3d = {a:.6f}, xi_Nd = {b:.6f}")
+    a = (np.cosh(pw.chi) - np.sinh(pw.chi) * ct) ** (-1 - 1j * rho)
+    b = xi_Nd(pw, rho, ct)
+    print(f"  rho={rho}, cos(theta)={ct}: formula = {a:.6f}, xi_Nd = {b:.6f}")
 
 print()
 print("=" * 72)

@@ -25,7 +25,6 @@ from .operators import (
     LinearOperator,
     SingularPointError,
     StripExhaustedError,
-    apply,
     compose,
     cosh_shift,
     linear_combination,
@@ -39,11 +38,9 @@ from .operators import (
 from .quadrature import (
     DecayHint,
     QuadratureConvergenceError,
-    QuadratureRule,
     cdh_gauss_rule,
     cdh_gram,
     gram_matrix,
-    inner_product,
     integrate_halfline,
 )
 from .oscillator import (
@@ -78,7 +75,6 @@ from .planewaves import (
     free_hamiltonian_residual,
     reduction_multiplier,
     weight_wN,
-    xi_3d,
     xi_Nd,
 )
 

@@ -472,23 +472,29 @@ def check_gamma_identities() -> float:
 
 
 def check_cdh_norms() -> float:
-    """Closed-form orthogonality norms vs half-line quadrature, n <= 4."""
+    """Closed-form orthogonality norms h_n, n <= 4, vs adaptive Gauss-Legendre.
+
+    One vector integral per parameter triple, [S_n(x^2)^2 for n <= 4] times
+    w(x) / 2 pi under the n = 4 envelope, each entry converged on its own.
+    It uses the `cdh_poly` sum and Legendre panels, so it is independent of
+    the recurrence behind the Gauss-CDH rule of the other norm checks.
+    """
     triples = (
         specfun.CdhParams(0.5, 0.5, 0.5),
         specfun.CdhParams(1.3, 2.1, 0.4),
         specfun.CdhParams(2.603388468743137, 10.301824164386872, 0.5),
     )
+    degrees = range(5)
     resids = []
     for p in triples:
-        for n in range(5):
-            hint = DecayHint(power=2 * (p.a + p.b + p.c) + 4 * n, rate=math.pi)
-            val, _ = integrate_halfline(
-                lambda x: specfun.cdh_poly(n, x ** 2, p) ** 2 * specfun.cdh_weight(x, p)
-                / (2 * math.pi),
-                hint,
-            )
-            closed = specfun.cdh_norm(n, p)
-            resids.append(abs(val / closed - 1.0))
+        hint = DecayHint(power=2 * (p.a + p.b + p.c) + 4 * degrees[-1], rate=math.pi)
+        vals, _ = integrate_halfline(
+            lambda x: np.array([specfun.cdh_poly(n, x ** 2, p) for n in degrees]) ** 2
+            * specfun.cdh_weight(x, p) / (2 * math.pi),
+            hint,
+        )
+        closed = np.array([specfun.cdh_norm(n, p) for n in degrees])
+        resids.extend(np.abs(vals / closed - 1.0))
     return _worst(resids)
 
 

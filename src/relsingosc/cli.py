@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -85,9 +86,12 @@ class RunConfig:
 
 
 def _parse_list(value, kind):
-    if isinstance(value, (list, tuple)):
-        return tuple(kind(v) for v in value)
-    return tuple(kind(v) for v in str(value).split(",") if v != "")
+    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    try:
+        return tuple(kind(v) for v in items if v != "")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"expected comma-separated {kind.__name__} values, "
+                          f"got {value!r}") from exc
 
 
 def _parse_grid_spec(value):
@@ -98,7 +102,12 @@ def _parse_grid_spec(value):
         if len(parts) != 3:
             raise ConfigError(f"--grid expects start:stop:count, got {value!r}")
         start, stop, count = parts
-    start, stop, count = float(start), float(stop), int(count)
+    try:
+        start, stop, count = float(start), float(stop), int(count)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"--grid expects numbers start:stop:count, got {value!r}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"rho grid bounds must be finite, got {value!r}")
     if not (stop > start and count >= 2):
         raise ConfigError(f"degenerate rho grid {value!r}")
     return (start, stop, count)

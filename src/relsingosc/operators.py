@@ -45,7 +45,6 @@ __all__ = [
     "compose",
     "cosh_shift",
     "sinh_shift",
-    "apply",
     "linear_combination",
     "taylor_limit_check",
 ]
@@ -164,25 +163,13 @@ class LinearOperator:
         strip = max(min(f.strip_halfwidth - self.shift_budget, self.coeff_strip), 0.0)
         return AnalyticFunction(ev, strip, points + _moved(f.singular_points, self.offsets))
 
-    # operator algebra sugar ------------------------------------------------
-    def __matmul__(self, other):
-        return compose(self, other)
-
-    def __add__(self, other):
-        return op_sum(self, other)
-
-    def __sub__(self, other):
-        return op_sum(self, scale(-1.0) @ other)
-
+    # scalar multiples, c * op ------------------------------------------------
     def __mul__(self, c):
         if isinstance(c, LinearOperator):
             return NotImplemented
         return compose(scale(c), self)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return compose(scale(-1.0), self)
 
 
 def _constant(tau, c) -> LinearOperator:
@@ -267,11 +254,6 @@ def cosh_shift(step: float = 1.0) -> LinearOperator:
 def sinh_shift(step: float = 1.0) -> LinearOperator:
     """sinh(i step d/drho): f -> [f(rho + i step) - f(rho - i step)] / 2."""
     return op_sum(0.5 * shift(1j * step), -0.5 * shift(-1j * step))
-
-
-def apply(op: LinearOperator, f: AnalyticFunction) -> AnalyticFunction:
-    """Apply an operator, enforcing the strip budget."""
-    return op.apply(f)
 
 
 def linear_combination(coeffs, fns: Sequence[AnalyticFunction]) -> AnalyticFunction:

@@ -22,7 +22,6 @@ from .specfun import generalized_degree
 
 __all__ = [
     "PlaneWaveParams",
-    "xi_3d",
     "xi_Nd",
     "free_hamiltonian_residual",
     "weight_wN",
@@ -63,13 +62,9 @@ def _xi(N: int, chi: float, rho, costheta):
     return np.exp(exponent * np.log(q))
 
 
-def xi_3d(pw: PlaneWaveParams, rho, costheta):
-    """Three-dimensional plane wave (cosh chi - sinh chi cos theta)^(-1 - i rho)."""
-    return _xi(3, pw.chi, rho, costheta)
-
-
 def xi_Nd(pw: PlaneWaveParams, rho, costheta1):
-    """N-dimensional plane wave, exponent -(N-1)/2 - i rho; N = 3 reproduces xi_3d."""
+    """N-dimensional plane wave (cosh chi - sinh chi cos theta1)^(-(N-1)/2 - i rho);
+    at N = 3 the exponent is -1 - i rho."""
     return _xi(pw.N, pw.chi, rho, costheta1)
 
 

@@ -257,6 +257,11 @@ def test_config_errors_exit_2(capsys):
         ["verify", "--tol-nope", "1e-3"],
         ["eval", "--grid", "1:2"],
         ["verify", "--config", "/nonexistent/path.json"],
+        ["verify", "--dims", "a"],
+        ["spectrum", "--omega0", "abc"],
+        ["verify", "--rho", "x"],
+        ["eval", "--grid", "0:1:x"],
+        ["eval", "--grid", "0:inf:5"],
     ):
         code, _, err = run(capsys, argv)
         assert code == 2, argv

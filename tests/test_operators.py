@@ -10,7 +10,6 @@ from relsingosc.operators import (
     AnalyticFunction,
     SingularPointError,
     StripExhaustedError,
-    apply,
     compose,
     cosh_shift,
     identity_op,
@@ -34,9 +33,9 @@ def entire(fn):
 
 def test_shift_basic():
     f = entire(lambda z: z ** 2)
-    assert apply(shift(1j), f)(1.0) == pytest.approx((1 + 1j) ** 2)
+    assert shift(1j).apply(f)(1.0) == pytest.approx((1 + 1j) ** 2)
     pts = RNG.uniform(-2, 2, 10)
-    g = apply(shift(0.0), f)
+    g = shift(0.0).apply(f)
     assert np.allclose(g(pts), f(pts))
 
 
@@ -149,7 +148,7 @@ def test_singular_point_error():
 def test_identity_and_apply_function():
     f = entire(lambda z: z ** 3 - 2.0 * z)
     pts = RNG.uniform(-2, 2, 10)
-    assert np.allclose(apply(identity_op(), f)(pts), f(pts))
+    assert np.allclose(identity_op().apply(f)(pts), f(pts))
 
 
 def test_taylor_limit_quadratic_is_exact():

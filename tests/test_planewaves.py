@@ -6,7 +6,6 @@ from relsingosc.planewaves import (
     free_hamiltonian_residual,
     reduction_multiplier,
     weight_wN,
-    xi_3d,
     xi_Nd,
     xi_nonrel_deviation,
 )
@@ -19,15 +18,15 @@ SAMPLES = [(rho, th) for rho in (1.0, 3.0, 10.0) for th in THETAS]
 def test_xi_at_rest_is_one():
     pw = PlaneWaveParams(chi=0.0)
     for rho, ct in ((0.5, 0.2), (3.0, -0.7), (10.0, 1.0)):
-        assert xi_3d(pw, rho, ct) == pytest.approx(1.0)
+        assert xi_Nd(pw, rho, ct) == pytest.approx(1.0)
     pwN = PlaneWaveParams(chi=0.0, N=7)
     assert xi_Nd(pwN, 2.0, 0.3) == pytest.approx(1.0)
 
 
 def test_xi_exponent_zero_point():
     # at rho = i the 3D exponent -1 - i rho vanishes
-    pw = PlaneWaveParams(chi=0.8)
-    assert xi_3d(pw, 1j, 0.4) == pytest.approx(1.0)
+    pw = PlaneWaveParams(chi=0.8, N=3)
+    assert xi_Nd(pw, 1j, 0.4) == pytest.approx(1.0)
 
 
 def test_xi_Nd_reduces_to_3d():
@@ -35,7 +34,8 @@ def test_xi_Nd_reduces_to_3d():
     for _ in range(10):
         rho = RNG.uniform(0.1, 10)
         ct = RNG.uniform(-1, 1)
-        assert xi_Nd(pw3, rho, ct) == pytest.approx(xi_3d(pw3, rho, ct), rel=1e-14)
+        want = (np.cosh(pw3.chi) - np.sinh(pw3.chi) * ct) ** (-1 - 1j * rho)
+        assert xi_Nd(pw3, rho, ct) == pytest.approx(want, rel=1e-14)
 
 
 def test_xi_modulus_power_law():

@@ -24,7 +24,6 @@ from relsingosc.quadrature import (
     choose_rho_max,
     gram_matrix,
     halfline_rule,
-    inner_product,
     integrate_halfline,
 )
 from relsingosc.specfun import CdhParams
@@ -43,11 +42,17 @@ def test_gaussian_integral():
     assert val == pytest.approx(np.sqrt(np.pi) / 2, abs=1e-12)
 
 
+def _legendre_sum(f, rho_max, panels_per_unit):
+    rule = halfline_rule(rho_max, panels_per_unit)
+    return np.sum(rule.weights * f(rule.nodes)).real
+
+
 def test_rule_invariants():
     rule = halfline_rule(10.0, 1)
     assert np.all(np.diff(rule.nodes) > 0)
     assert np.all(rule.weights > 0)
-    assert rule.truncation_rho_max == 10.0
+    assert 0.0 < rule.nodes[0] and rule.nodes[-1] < 10.0
+    assert np.sum(rule.weights) == pytest.approx(10.0, rel=1e-14)
 
 
 def test_choose_rho_max_grows_with_power():
@@ -65,7 +70,7 @@ def test_doubling_changes_less_than_reported_error():
 
     val, err = integrate_halfline(f, hint)
     rho_max = choose_rho_max(hint)
-    finer = halfline_rule(rho_max, 4).integrate_with_mass(f)[0].real
+    finer = _legendre_sum(f, rho_max, 4)
     assert abs(finer - val) <= max(err, 1e-15)
 
 
@@ -77,8 +82,8 @@ def test_truncation_point_insensitive():
     def f(r):
         return np.abs(st.fn(r)) ** 2
 
-    base = halfline_rule(rho_max, 2).integrate_with_mass(f)[0].real
-    extended = halfline_rule(rho_max + 5, 2).integrate_with_mass(f)[0].real
+    base = _legendre_sum(f, rho_max, 2)
+    extended = _legendre_sum(f, rho_max + 5, 2)
     assert abs(extended - base) / abs(base) < 1e-12
 
 
@@ -89,24 +94,14 @@ def test_nonconvergence_raises():
                            DecayHint(power=0.0, rate=1.0), rel_tol=1e-13, max_refine=3)
 
 
-def test_inner_product_orthonormality():
-    s0 = radial_wavefunction(P, 0)
-    s1 = radial_wavefunction(P, 1)
-    hint = state_decay_hint(s0.derived, 1)
-    v00, e00 = inner_product(s0.fn, s0.fn, hint)
-    assert abs(v00 - 1.0) < 1e-8
-    assert e00 < 1e-8
-    v01, _ = inner_product(s0.fn, s1.fn, hint)
-    assert abs(v01) < 1e-7
-
-
-def test_inner_product_conjugate_symmetry():
+def test_gram_matrix_conjugate_symmetry():
     f = AnalyticFunction(lambda z: (1.0 + 0.5j) * np.exp(-z) * z, 1.0)
     g = AnalyticFunction(lambda z: np.exp(-0.8 * z) * (z - 2j), 1.0)
     hint = DecayHint(power=2.0, rate=1.5)
-    fg, _ = inner_product(f, g, hint)
-    gf, _ = inner_product(g, f, hint)
-    assert fg == pytest.approx(np.conj(gf), rel=1e-12)
+    G, _ = gram_matrix([f, g], hint)
+    assert G[0, 1] == pytest.approx(np.conj(G[1, 0]), rel=1e-12)
+    # <f, g> = (1 - 0.5i) * integral of (r^2 - 2i r) e^(-1.8 r)
+    assert G[0, 1] == pytest.approx((1.0 - 0.5j) * (2.0 / 1.8 ** 3 - 2j / 1.8 ** 2), rel=1e-12)
 
 
 def test_gram_matrix_matches_pairwise():
@@ -118,6 +113,49 @@ def test_gram_matrix_matches_pairwise():
     assert G[1, 1] == pytest.approx(1.0, abs=1e-8)
     assert abs(G[0, 1]) < 1e-7
     assert est < 1e-8
+
+
+def test_gram_matrix_nonconvergence_raises():
+    # |f|^2 = r^(-1/2) e^(-r) is endpoint-singular: panel doubling never settles
+    f = AnalyticFunction(lambda z: np.where(z != 0, z, 1.0) ** -0.25 * np.exp(-0.5 * z), 0.0)
+    with pytest.raises(QuadratureConvergenceError):
+        gram_matrix([f], DecayHint(power=0.0, rate=1.0))
+
+
+def _rule_calls(monkeypatch):
+    # panels_per_unit of every rule the refinement loop builds
+    calls = []
+    build = quadrature.halfline_rule
+
+    def counting(rho_max, panels_per_unit=1):
+        calls.append(panels_per_unit)
+        return build(rho_max, panels_per_unit)
+
+    monkeypatch.setattr(quadrature, "halfline_rule", counting)
+    return calls
+
+
+def test_vector_integrand_converges_entry_by_entry(monkeypatch):
+    # entry 1 is 1e-12 of entry 0 and oscillates faster than one-unit panels
+    # resolve: a tolerance scaled by the largest entry would accept it early
+    W, hint = 150.0, DecayHint(power=0.0, rate=1.0)
+
+    def f(r):
+        return np.array([1e12 * np.exp(-r), np.cos(W * r) * np.exp(-r)])
+
+    calls = _rule_calls(monkeypatch)
+    large, _ = integrate_halfline(lambda r: f(r)[0], hint)
+    large_levels = len(calls)
+    calls.clear()
+    vals, _ = integrate_halfline(f, hint)
+    assert len(calls) > large_levels
+    assert vals.shape == (2,)
+    assert vals[0] == pytest.approx(1e12, rel=1e-12)
+    assert large == pytest.approx(1e12, rel=1e-12)
+    assert vals[1] == pytest.approx(1.0 / (1.0 + W ** 2), rel=1e-10)
+    # the answer the large entry alone would have stopped at is wrong in entry 1
+    coarse = _legendre_sum(lambda r: f(r)[1], choose_rho_max(hint), calls[large_levels - 1])
+    assert abs(coarse - vals[1]) > 1e-11 * abs(vals[1])
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from relsingosc.oscillator import (
     radial_wavefunction,
     state_decay_hint,
 )
-from relsingosc.quadrature import inner_product, integrate_halfline
+from relsingosc.quadrature import gram_matrix, integrate_halfline
 from relsingosc.symmetry import (
     CoefficientState,
     K_action,
@@ -137,7 +137,7 @@ def test_ladder_proportionality_projection_first(states):
     hint = state_decay_hint(D, 5)
     for n in (0, 1, 2):
         image = Ap.apply(states[n].fn)
-        proj, _ = inner_product(states[n + 1].fn, image, hint)
+        proj = gram_matrix([states[n + 1].fn, image], hint)[0][0, 1]
         expect = -np.sqrt(lc.f_energy(n + 1)) * lc.kappa(n + 1)
         assert proj == pytest.approx(expect, rel=1e-8)
         # pointwise match against the projected constant
@@ -259,8 +259,8 @@ def test_hermiticity_proxy(states):
     hint = state_decay_hint(D, 5)
     for m in range(3):
         for n in range(3):
-            lhs, _ = inner_product(states[m].fn, Am.apply(states[n].fn), hint)
-            rhs, _ = inner_product(Ap.apply(states[m].fn), states[n].fn, hint)
+            lhs = gram_matrix([states[m].fn, Am.apply(states[n].fn)], hint)[0][0, 1]
+            rhs = gram_matrix([Ap.apply(states[m].fn), states[n].fn], hint)[0][0, 1]
             assert lhs == pytest.approx(np.conj(rhs), abs=1e-6 * (1 + abs(lhs)))
 
 
