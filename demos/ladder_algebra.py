@@ -11,8 +11,6 @@ algebraically from the Casimir value s(s-1).
 import numpy as np
 
 from relsingosc import (
-    CoefficientState,
-    K_action,
     LadderCoefficients,
     ModelParams,
     build_A_minus,
@@ -24,6 +22,7 @@ from relsingosc import (
     generate_state_via_ladder,
     hamiltonian_reduced,
     radial_wavefunction,
+    su11_generators,
 )
 from relsingosc.operators import compose, identity_op, op_sum, scale
 
@@ -67,24 +66,19 @@ print(f"  A- R_0 = 0: max |A- R_0| / |R_0| = "
 
 print()
 print("=" * 72)
-print("3. su(1,1) in coefficient space (exact arithmetic)")
+print("3. su(1,1) on the eigenbasis: K+, K-, K0 as matrices on R_0..R_3")
 print("=" * 72)
-st = CoefficientState({0: 0.6, 1: -0.3 + 0.2j, 2: 0.4}, p)
-k0 = K_action("0", st)
-print("  K0 multiplies component n by (n + s):")
-for n in sorted(st.coeffs):
-    print(f"    n = {n}: ratio = {k0.coeffs[n] / st.coeffs[n]:.6f} "
-          f"(n + s = {n + d.s:.6f})")
-comm = {}
-lhs = K_action("-", K_action("+", st))
-rhs = K_action("+", K_action("-", st))
-for n in st.coeffs:
-    comm[n] = lhs.coeffs.get(n, 0) - rhs.coeffs.get(n, 0)
-print("  [K-, K+] = 2 K0 componentwise:",
-      all(np.isclose(comm[n], 2 * k0.coeffs[n]) for n in st.coeffs))
-q = casimir(st)
-print(f"  Casimir on a mixed state: {q.real:.10f}  "
-      f"(s(s-1) = {d.s * (d.s - 1):.10f})")
+k_plus, k_minus, k0 = su11_generators(p, 4)
+print("  K0 is diagonal with entries n + s:")
+for n in range(4):
+    print(f"    n = {n}: K0[n, n] = {k0[n, n]:.6f} (n + s = {n + d.s:.6f})")
+bracket = k_minus @ k_plus - k_plus @ k_minus
+print("  [K-, K+] = 2 K0 below the truncated top row:",
+      np.allclose(bracket[:-1], 2 * k0[:-1]))
+c = casimir(p, 4)
+k2 = d.s * (d.s - 1)
+print(f"  Casimir K0(K0-1) - K+K- vs s(s-1) I: max deviation "
+      f"{np.abs(c - k2 * np.eye(4)).max():.1e}  (s(s-1) = {k2:.10f})")
 
 print()
 print("=" * 72)

@@ -58,8 +58,6 @@ from .oscillator import (
     radial_wavefunction,
 )
 from .symmetry import (
-    CoefficientState,
-    K_action,
     LadderCoefficients,
     build_A_minus,
     build_A_plus,
@@ -69,6 +67,7 @@ from .symmetry import (
     casimir,
     commutator_residual,
     generate_state_via_ladder,
+    su11_generators,
 )
 from .planewaves import (
     PlaneWaveParams,

@@ -43,7 +43,6 @@ from .oscillator import (
 )
 from .quadrature import DecayHint, cdh_gram, integrate_halfline
 from .symmetry import (
-    CoefficientState,
     LadderCoefficients,
     build_a_minus,
     build_a_plus,
@@ -126,9 +125,6 @@ class GridContext:
         self.n_max = int(n_max)
         self.rho_samples = tuple(rho_samples)
         self.derived = derive_params(params)
-        # the continuous dual Hahn triple of the states: its Gauss rule
-        # integrates every product of R_0..R_{M-1} exactly
-        self.cdh = specfun.CdhParams(self.derived.alpha, self.derived.nu, 0.5)
         self._states: dict[int, object] = {}
         self._ladder_states: dict[int, object] = {}
         self._ops: dict[str, object] = {}
@@ -172,8 +168,8 @@ class GridContext:
         if self._gram is None:
             M = self.n_max + 1
             fns = [self.state(n).fn for n in range(M)]
-            G = cdh_gram(fns, self.cdh, M)
-            G_next = cdh_gram(fns, self.cdh, M + 1)
+            G = cdh_gram(fns, self.derived.cdh, M)
+            G_next = cdh_gram(fns, self.derived.cdh, M + 1)
             self._gram = (float(np.max(np.abs(G - np.eye(M)))),
                           float(np.max(np.abs(G_next - G))))
         return self._gram
@@ -285,15 +281,12 @@ def check_su11_ladder_bracket(ctx: GridContext) -> float:
 
 
 def check_casimir(ctx: GridContext) -> float:
+    """K0(K0 - 1) - K+ K- = s(s-1) I entry by entry on R_0..R_3, hence on
+    every superposition of them."""
     s = ctx.derived.s
     target = s * (s - 1.0)
-    states = [CoefficientState({n: 1.0}, ctx.params) for n in range(4)]
-    states.append(CoefficientState({0: 0.5, 1: -0.3 + 0.1j, 2: 0.2, 3: 0.7j}, ctx.params))
-    resids = []
-    for st in states:
-        q = casimir(st)
-        resids.append(abs(q - target) / (abs(target) + _GUARD))
-    return _worst(resids)
+    deviation = casimir(ctx.params, 4) - target * np.eye(4)
+    return _worst(np.abs(deviation) / (abs(target) + _GUARD))
 
 
 def _pointwise_match(got, want, floor_scale: float) -> float:
@@ -341,7 +334,7 @@ def check_state_generation_norm(ctx: GridContext) -> float:
     """|norm - 1| of ladder-generated states, n <= 4, by the Gauss-CDH rule
     with top + 1 nodes, exact for the true states up to n = top."""
     top = min(4, ctx.n_max)
-    G = cdh_gram([ctx.ladder_state(n).fn for n in range(1, top + 1)], ctx.cdh, top + 1)
+    G = cdh_gram([ctx.ladder_state(n).fn for n in range(1, top + 1)], ctx.derived.cdh, top + 1)
     return _worst(np.abs(np.diag(G) - 1.0))
 
 
@@ -542,7 +535,7 @@ CHECKS: dict[str, CheckDef] = {c.check_id: c for c in [
     _grid("su11-ladder-bracket", 1e-12, check_su11_ladder_bracket,
           "kappa_{n+1}^2 - kappa_n^2 = 2n + alpha + nu, n <= 50"),
     _grid("casimir-bargmann", 1e-10, check_casimir,
-          "Casimir Rayleigh quotient equals s(s-1) on pure and mixed states"),
+          "Casimir K0(K0-1) - K+K- equals s(s-1) I as a matrix on R_0..R_3"),
     _grid("ladder-action", 1e-7, check_ladder_action,
           "pointwise K+- R_n vs kappa R_{n+-1}, n <= 4"),
     _grid("state-generation", 1e-7, check_state_generation,

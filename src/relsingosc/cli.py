@@ -193,7 +193,7 @@ def _build_config(args, tol_overrides) -> RunConfig:
     v = pick(getattr(args, "grid", None), "grid")
     if v is not None:
         cfg.grid = _parse_grid_spec(v)
-    v = pick(args.format, "format")
+    v = pick(getattr(args, "format", None), "format")
     if v is not None:
         if v not in ("text", "json", "csv"):
             raise ConfigError(f"unknown format {v!r}")
@@ -226,6 +226,12 @@ def _thread_count() -> int:
     return n
 
 
+def _grid_points(cfg: RunConfig):
+    return default_grid_points({
+        "dims": cfg.dims, "l": cfg.l, "omega0": cfg.omega0, "g0": cfg.g0,
+    })
+
+
 def _emit(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -244,9 +250,7 @@ _SPECTRUM_COLS = ("N", "l", "n", "omega0", "g0", "alpha", "nu", "s",
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     rows, skipped = [], []
-    for (N, l, om0, g0) in default_grid_points({
-        "dims": cfg.dims, "l": cfg.l, "omega0": cfg.omega0, "g0": cfg.g0,
-    }):
+    for (N, l, om0, g0) in _grid_points(cfg):
         try:
             p = ModelParams(N=N, l=l, omega0=om0, g0=g0)
             d = derive_params(p)
@@ -308,25 +312,17 @@ def _eval_csv(state, rho):
 def cmd_eval(cfg: RunConfig) -> int:
     start, stop, count = cfg.grid
     rho = np.linspace(start, stop, count)
-    produced = 0
     blocks = []
-    for N in cfg.dims:
-        for l in cfg.l:
-            for om0 in cfg.omega0:
-                for g0 in cfg.g0:
-                    for n in range(cfg.n_max + 1):
-                        try:
-                            p = ModelParams(N=N, l=l, omega0=om0, g0=g0)
-                            state = radial_wavefunction(p, n)
-                        except InvalidParametersError as exc:
-                            print(f"# skipped N={N} l={l} omega0={om0} g0={g0}: {exc}",
-                                  file=sys.stderr)
-                            break  # same reason for every n at this point
-                        csv_text = _eval_csv(state, rho)
-                        tag = f"N{N}_l{l}_n{n}_w{om0:g}_g{g0:g}"
-                        blocks.append((tag, csv_text))
-                        produced += 1
-    if not produced:
+    for (N, l, om0, g0) in _grid_points(cfg):
+        for n in range(cfg.n_max + 1):
+            try:
+                p = ModelParams(N=N, l=l, omega0=om0, g0=g0)
+                state = radial_wavefunction(p, n)
+            except InvalidParametersError as exc:
+                print(f"# skipped N={N} l={l} omega0={om0} g0={g0}: {exc}", file=sys.stderr)
+                break  # same reason for every higher n at this point
+            blocks.append((f"N{N}_l{l}_n{n}_w{om0:g}_g{g0:g}", _eval_csv(state, rho)))
+    if not blocks:
         print("error: no valid states to evaluate", file=sys.stderr)
         return EXIT_CONFIG
     if cfg.out:
@@ -351,9 +347,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_verify(cfg: RunConfig) -> int:
-    points = default_grid_points({
-        "dims": cfg.dims, "l": cfg.l, "omega0": cfg.omega0, "g0": cfg.g0,
-    })
+    points = _grid_points(cfg)
     outcomes = []
     workers = _thread_count()
     if workers > 1 and len(points) > 1:
@@ -389,7 +383,6 @@ def _add_common(sub):
     sub.add_argument("--n-max", dest="n_max", type=int, help="largest radial quantum number")
     sub.add_argument("--omega0", help="comma-separated oscillator strengths")
     sub.add_argument("--g0", help="comma-separated inverse-square couplings")
-    sub.add_argument("--format", choices=("text", "json", "csv"))
     sub.add_argument("--out", help="write output to this path instead of stdout")
     sub.add_argument("--config", help="JSON config file mirroring the flags")
 
@@ -404,6 +397,7 @@ def _parser():
 
     sp = subs.add_parser("spectrum", help="tabulate derived parameters and energies")
     _add_common(sp)
+    sp.add_argument("--format", choices=("text", "json", "csv"))
 
     ev = subs.add_parser("eval", help="tabulate radial wavefunction values as CSV")
     _add_common(ev)
@@ -411,6 +405,7 @@ def _parser():
 
     vf = subs.add_parser("verify", help="run verification checks and report")
     _add_common(vf)
+    vf.add_argument("--format", choices=("text", "json", "csv"))
     vf.add_argument("--checks", help="comma-separated check ids (default: all)")
     vf.add_argument("--rho", help="comma-separated residual sample points")
     vf.add_argument("--list-checks", action="store_true",

@@ -123,18 +123,15 @@ class LinearOperator:
     array with one more axis than z that broadcasts to (len(offsets),) +
     z.shape (constant coefficients keep length-1 axes). singular_points
     are the points where a coefficient is singular: evaluating an image
-    there raises SingularPointError. coeff_strip is the half-width of the
-    strip on which the coefficients are analytic.
+    there raises SingularPointError.
     """
 
-    def __init__(self, offsets, coefficients: Callable, singular_points: tuple = (),
-                 coeff_strip: float = np.inf):
+    def __init__(self, offsets, coefficients: Callable, singular_points: tuple = ()):
         self.offsets = tuple(complex(t) for t in offsets)
         if not self.offsets:
             raise ValueError("an operator needs at least one offset")
         self.coefficients = coefficients
         self.singular_points = tuple(dict.fromkeys(singular_points))
-        self.coeff_strip = float(coeff_strip)
         self.shift_budget = max(abs(t.imag) for t in self.offsets)
 
     def apply(self, f: AnalyticFunction) -> AnalyticFunction:
@@ -144,11 +141,10 @@ class LinearOperator:
         stacked along a new leading axis.
         """
         f = _as_function(f)
-        if (f.strip_halfwidth + _BUDGET_SLACK < self.shift_budget
-                or self.coeff_strip + _BUDGET_SLACK < 0):
+        if f.strip_halfwidth + _BUDGET_SLACK < self.shift_budget:
             raise StripExhaustedError(
-                f"operator needs strip {self.shift_budget} (coefficients analytic on "
-                f"{self.coeff_strip}), function provides {f.strip_halfwidth}"
+                f"operator needs strip {self.shift_budget}, function provides "
+                f"{f.strip_halfwidth}"
             )
         taus = np.asarray(self.offsets)
         coefficients, points, inner = self.coefficients, self.singular_points, f.fn
@@ -160,43 +156,31 @@ class LinearOperator:
             out = np.einsum("j...,j...->...", coefficients(zz), values)
             return out if zz.ndim else out[()]
 
-        strip = max(min(f.strip_halfwidth - self.shift_budget, self.coeff_strip), 0.0)
+        strip = max(f.strip_halfwidth - self.shift_budget, 0.0)
         return AnalyticFunction(ev, strip, points + _moved(f.singular_points, self.offsets))
 
-    # scalar multiples, c * op ------------------------------------------------
-    def __mul__(self, c):
-        if isinstance(c, LinearOperator):
-            return NotImplemented
-        return compose(scale(c), self)
 
-    __rmul__ = __mul__
-
-
-def _constant(tau, c) -> LinearOperator:
-    c = np.array([complex(c)])
-    return LinearOperator((tau,), lambda z: c.reshape((1,) * (z.ndim + 1)))
+def _constant(taus, cs) -> LinearOperator:
+    """The stencil sum_j cs[j] e^{taus[j] d/drho} with constant coefficients."""
+    c = np.array(cs, dtype=complex)
+    return LinearOperator(taus, lambda z: c.reshape((-1,) + (1,) * z.ndim))
 
 
 def shift(tau) -> LinearOperator:
     """(shift(tau) f)(rho) = f(rho + tau); budget counts |Im tau| only."""
-    return _constant(tau, 1.0)
+    return _constant((tau,), (1.0,))
 
 
 def scale(c) -> LinearOperator:
-    return _constant(0.0, c)
+    return _constant((0.0,), (c,))
 
 
-def multiply_by(factor, singular_points: tuple = ()) -> LinearOperator:
-    """Multiplication by a coordinate function (callable or AnalyticFunction)."""
-    strip = np.inf
-    if isinstance(factor, AnalyticFunction):
-        singular_points = tuple(singular_points) + factor.singular_points
-        factor, strip = factor.fn, factor.strip_halfwidth
-
+def multiply_by(factor: Callable, singular_points: tuple = ()) -> LinearOperator:
+    """Multiplication by a coordinate function, singular at singular_points."""
     def coefficients(z):
         return np.broadcast_to(np.asarray(factor(z), dtype=complex), z.shape)[None]
 
-    return LinearOperator((0.0,), coefficients, tuple(singular_points), strip)
+    return LinearOperator((0.0,), coefficients, tuple(singular_points))
 
 
 def identity_op() -> LinearOperator:
@@ -212,9 +196,7 @@ def op_sum(*ops: LinearOperator) -> LinearOperator:
         shape = np.broadcast_shapes(*(t.shape[1:] for t in tables))
         return collect(np.concatenate([np.broadcast_to(t, t.shape[:1] + shape) for t in tables]))
 
-    return LinearOperator(offsets, coefficients,
-                          sum((op.singular_points for op in ops), ()),
-                          min(op.coeff_strip for op in ops))
+    return LinearOperator(offsets, coefficients, sum((op.singular_points for op in ops), ()))
 
 
 def _compose2(a: LinearOperator, b: LinearOperator) -> LinearOperator:
@@ -229,8 +211,7 @@ def _compose2(a: LinearOperator, b: LinearOperator) -> LinearOperator:
         return collect(products.reshape((ka * kb,) + products.shape[2:]))
 
     return LinearOperator(offsets, coefficients,
-                          a.singular_points + _moved(b.singular_points, a.offsets),
-                          min(a.coeff_strip, b.coeff_strip - a.shift_budget))
+                          a.singular_points + _moved(b.singular_points, a.offsets))
 
 
 def compose(*ops: LinearOperator) -> LinearOperator:
@@ -248,12 +229,12 @@ def compose(*ops: LinearOperator) -> LinearOperator:
 
 def cosh_shift(step: float = 1.0) -> LinearOperator:
     """cosh(i step d/drho): f -> [f(rho + i step) + f(rho - i step)] / 2."""
-    return op_sum(0.5 * shift(1j * step), 0.5 * shift(-1j * step))
+    return _constant((1j * step, -1j * step), (0.5, 0.5))
 
 
 def sinh_shift(step: float = 1.0) -> LinearOperator:
     """sinh(i step d/drho): f -> [f(rho + i step) - f(rho - i step)] / 2."""
-    return op_sum(0.5 * shift(1j * step), -0.5 * shift(-1j * step))
+    return _constant((1j * step, -1j * step), (0.5, -0.5))
 
 
 def linear_combination(coeffs, fns: Sequence[AnalyticFunction]) -> AnalyticFunction:

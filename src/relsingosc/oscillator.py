@@ -116,6 +116,11 @@ class DerivedParams:
     s: float
     D: float
 
+    @property
+    def cdh(self) -> specfun.CdhParams:
+        """The continuous dual Hahn triple (alpha, nu, 1/2) of the radial states."""
+        return specfun.CdhParams(self.alpha, self.nu, 0.5)
+
 
 def derive_params(p: ModelParams) -> DerivedParams:
     """Compute alpha/nu from the couplings.
@@ -198,7 +203,7 @@ def wavefunction_profile(p: ModelParams, n: int, d: DerivedParams | None = None)
         raise ValueError("radial quantum number n must be a non-negative integer")
     d = d or derive_params(p)
     alpha, nu, log_om0 = d.alpha, d.nu, np.log(p.omega0)
-    cdh = specfun.CdhParams(alpha, nu, 0.5)
+    cdh = d.cdh
 
     def ev(rho):
         r = np.asarray(rho, dtype=complex)
@@ -219,7 +224,7 @@ def norm_constant(n: int, d: DerivedParams) -> float:
     """C_n = sqrt(2/h_n), with h_n the continuous dual Hahn norm at (alpha, nu, 1/2);
     raises where h_n overflows a float (nu >~ 100, omega0 <~ 0.01) instead of
     returning 0."""
-    log_h = specfun.cdh_log_norm(n, specfun.CdhParams(d.alpha, d.nu, 0.5))
+    log_h = specfun.cdh_log_norm(n, d.cdh)
     if not log_h <= _LOG_FLOAT_MAX:
         raise InvalidParametersError(f"norm constant sqrt(2/h_{n}) is not finite and positive: "
                                      f"h_{n} = exp({log_h:.6g}) overflows for "

@@ -8,7 +8,7 @@ such functions reduces to d^2/dtheta^2 + (N-2) cot(theta) d/dtheta.
 
 Radial shifts are exact complex displacements; angular derivatives use
 central differences with one Richardson extrapolation level, which is what
-sets the achievable residual (~1e-9 at the default step), not the radial
+sets the achievable residual (~1e-9 at ANGLE_STEP), not the radial
 part.
 """
 
@@ -29,7 +29,7 @@ __all__ = [
     "xi_nonrel_deviation",
 ]
 
-DEFAULT_ANGLE_STEP = 1e-3
+ANGLE_STEP = 1e-3  # central-difference step of the angular derivatives
 # keep theta away from the coordinate poles where cot(theta) blows up
 THETA_WINDOW = (0.3, np.pi - 0.3)
 
@@ -87,7 +87,6 @@ def _angular_laplacian(N: int, chi: float, rho, theta, h: float):
 
 
 def free_hamiltonian_residual(pw: PlaneWaveParams, samples,
-                              h: float = DEFAULT_ANGLE_STEP,
                               eigenvalue: float | None = None) -> float:
     """Max relative residual of (H0 - E) xi over (rho, theta) samples.
 
@@ -111,7 +110,7 @@ def free_hamiltonian_residual(pw: PlaneWaveParams, samples,
         up = _xi(N, chi, rho + 1j, ct)
         down = _xi(N, chi, rho - 1j, ct)
         val = 0.5 * (up + down) + 1j * (N - 1) / (2.0 * rho) * 0.5 * (up - down)
-        lap = _angular_laplacian(N, chi, rho + 1j, theta, h)
+        lap = _angular_laplacian(N, chi, rho + 1j, theta, ANGLE_STEP)
         val = val - lap / (rho * (2.0 * rho - 1j * (N - 3)))
         ref = e_val * _xi(N, chi, rho, ct)
         resids.append(abs(val - ref) / abs(ref))

@@ -89,10 +89,10 @@ def choose_rho_max(hint: DecayHint | None) -> float:
     return max(DEFAULT_RHO_MAX, math.ceil(rho + SAFETY_MARGIN))
 
 
-def halfline_rule(rho_max: float, panels_per_unit: int = 1,
-                  nodes_per_panel: int = NODES_PER_PANEL) -> _Rule:
-    """Composite Gauss-Legendre rule on [0, rho_max], as (nodes, weights)."""
-    x, w = leggauss(nodes_per_panel)
+def halfline_rule(rho_max: float, panels_per_unit: int = 1) -> _Rule:
+    """Composite Gauss-Legendre rule on [0, rho_max] with NODES_PER_PANEL
+    nodes per panel, as (nodes, weights)."""
+    x, w = leggauss(NODES_PER_PANEL)
     n_panels = int(math.ceil(rho_max * panels_per_unit))
     width = rho_max / n_panels
     starts = width * np.arange(n_panels)

@@ -1,28 +1,28 @@
 """Dynamical symmetry layer: factorization operators, generalized momentum,
 ladder operators, and the su(1,1) realization they generate.
 
-Two complementary representations are used throughout and must agree:
+The algebra is realized twice and the two must agree:
 
-* the pointwise operator calculus (finite-difference chains acting on
-  evaluable wavefunctions), and
-* exact coefficient arithmetic on the eigenbasis, where the raising and
-  lowering maps act through kappa_n = sqrt(n (n + alpha + nu - 1)) and the
-  compact generator is diagonal with eigenvalues n + s.
+* pointwise, by the finite-difference operators A+- acting on evaluable
+  wavefunctions, and
+* on the eigenbasis, where K+ R_n = kappa_{n+1} R_{n+1} with
+  kappa_n = sqrt(n (n + alpha + nu - 1)), K- = (K+)^T and the compact
+  generator K0 R_n = (n + s) R_n: `su11_generators` returns the three as
+  matrices on R_0..R_{size-1}.
 
 Functions of the Hamiltonian (the f^(-1/2) factors converting A+- into
 unit-normalized ladder maps) have no closed pointwise form for a
 finite-difference operator; they are realized spectrally, i.e. as scalars
-on eigencomponents. With the normalization constants fixed positive real,
-the measured proportionality constants of A+- come out negative real, so
-the pointwise ladder maps carry an explicit extra minus sign to keep every
-ladder constant positive (a pure convention; the algebra is unchanged).
+on eigencomponents (`LadderCoefficients.spectral_scalar`). With the
+normalization constants fixed positive real, the measured proportionality
+constants of A+- come out negative real, so the pointwise ladder maps carry
+an explicit extra minus sign to keep every ladder constant positive (a pure
+convention; the algebra is unchanged).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .operators import (
     AnalyticFunction,
     LinearOperator,
     compose,
-    linear_combination,
     multiply_by,
     op_sum,
     scale,
@@ -38,7 +37,6 @@ from .operators import (
     sinh_shift,
 )
 from .oscillator import (
-    STATE_STRIP_HALFWIDTH,
     DerivedParams,
     ModelParams,
     RadialState,
@@ -48,18 +46,16 @@ from .oscillator import (
     norm_constant,
     radial_wavefunction,
 )
-from . import specfun
 
 __all__ = [
     "LadderCoefficients",
-    "CoefficientState",
     "LadderDiagnosticError",
     "build_a_minus",
     "build_a_plus",
     "build_momentum",
     "build_A_minus",
     "build_A_plus",
-    "K_action",
+    "su11_generators",
     "k_raise_pointwise",
     "k_lower_pointwise",
     "casimir",
@@ -68,6 +64,9 @@ __all__ = [
 ]
 
 _GUARD = 1e-300
+# largest n of the pointwise (K+)^n route; each rung consumes two units of
+# the strip of R_0
+MAX_RUNGS = 8
 
 
 class LadderDiagnosticError(RuntimeError):
@@ -100,39 +99,37 @@ class LadderCoefficients:
             )
         return float(val)
 
+    def spectral_scalar(self, n: int) -> float:
+        """-f(E_n)^(-1/2), the spectral scalar turning A+- images into unit
+        ladder steps. The minus sign fixes the ladder constants positive real
+        (the raw proportionality constants of A+- are negative with positive
+        norm constants and the principal-branch degree phase)."""
+        return -1.0 / np.sqrt(self.f_energy(n))
+
     @classmethod
     def from_params(cls, p: ModelParams, d: DerivedParams | None = None):
         d = d or derive_params(p)
         return cls(alpha=d.alpha, nu=d.nu, omega0=p.omega0)
 
 
-@dataclass(frozen=True)
-class CoefficientState:
-    """Finite expansion sum_n coeffs[n] R_n over the eigenbasis."""
-
-    coeffs: Mapping[int, complex]
-    params: ModelParams
-
-    def __post_init__(self):
-        clean = {int(n): complex(c) for n, c in self.coeffs.items() if c != 0}
-        if any(n < 0 for n in clean):
-            raise ValueError("coefficient indices must be non-negative")
-        object.__setattr__(self, "coeffs", clean)
-
-    def inner(self, other: "CoefficientState") -> complex:
-        return sum(np.conj(c) * other.coeffs.get(n, 0.0) for n, c in self.coeffs.items())
-
-    def norm_sq(self) -> float:
-        return float(sum(abs(c) ** 2 for c in self.coeffs.values()))
-
-    def as_function(self, states: Mapping[int, RadialState]) -> AnalyticFunction:
-        """Pointwise evaluator sum c_n R_n(rho) from precomputed states."""
-        ns = sorted(self.coeffs)
-        return linear_combination([self.coeffs[n] for n in ns], [states[n].fn for n in ns])
-
-
 def _rho_times() -> LinearOperator:
     return multiply_by(lambda z: z)
+
+
+def _factorization(p: ModelParams, sign: float) -> LinearOperator:
+    """(1/sqrt(2 omega0)) [ e^{-(i/2) d} - omega0 (forward half-shift with the
+    factor (nu + sign i rho)(1 + sign alpha/(i rho))) ]: inside the shift for
+    sign = +1 (a-), outside it for sign = -1 (a+). Singular at rho = 0."""
+    d = derive_params(p)
+    alpha, nu, om0 = d.alpha, d.nu, p.omega0
+
+    def factor(z):
+        return (nu + sign * 1j * z) * (1.0 + sign * alpha / (1j * z))
+
+    times = multiply_by(factor, singular_points=(0.0,))
+    forward = (shift(0.5j), times) if sign > 0 else (times, shift(0.5j))
+    pref = 1.0 / np.sqrt(2.0 * om0)
+    return compose(scale(pref), op_sum(shift(-0.5j), compose(scale(-om0), *forward)))
 
 
 def build_a_minus(p: ModelParams) -> LinearOperator:
@@ -141,19 +138,8 @@ def build_a_minus(p: ModelParams) -> LinearOperator:
         (1/sqrt(2 omega0)) [ e^{-(i/2) d} - omega0 e^{+(i/2) d} (nu + i rho)(1 + alpha/(i rho)) ]
 
     Note the multiplication factor sits inside the forward half-shift.
-    Singular at rho = 0.
     """
-    d = derive_params(p)
-    alpha, nu, om0 = d.alpha, d.nu, p.omega0
-
-    def factor(z):
-        return (nu + 1j * z) * (1.0 + alpha / (1j * z))
-
-    pref = 1.0 / np.sqrt(2.0 * om0)
-    return compose(scale(pref), op_sum(
-        shift(-0.5j),
-        compose(scale(-om0), shift(0.5j), multiply_by(factor, singular_points=(0.0,))),
-    ))
+    return _factorization(p, +1.0)
 
 
 def build_a_plus(p: ModelParams) -> LinearOperator:
@@ -161,17 +147,7 @@ def build_a_plus(p: ModelParams) -> LinearOperator:
 
         (1/sqrt(2 omega0)) [ e^{-(i/2) d} - omega0 (nu - i rho)(1 - alpha/(i rho)) e^{+(i/2) d} ]
     """
-    d = derive_params(p)
-    alpha, nu, om0 = d.alpha, d.nu, p.omega0
-
-    def factor(z):
-        return (nu - 1j * z) * (1.0 - alpha / (1j * z))
-
-    pref = 1.0 / np.sqrt(2.0 * om0)
-    return compose(scale(pref), op_sum(
-        shift(-0.5j),
-        compose(scale(-om0), multiply_by(factor, singular_points=(0.0,)), shift(0.5j)),
-    ))
+    return _factorization(p, -1.0)
 
 
 def build_momentum(p: ModelParams, route: str = "explicit") -> LinearOperator:
@@ -237,71 +213,42 @@ def build_A_plus(p: ModelParams) -> LinearOperator:
     return _ladder_quadratic(p, -1.0)
 
 
-def K_action(direction: str, state: CoefficientState) -> CoefficientState:
-    """su(1,1) generators in coefficient space.
+def su11_generators(p: ModelParams, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K+, K- and K0 as size x size matrices on R_0..R_{size-1}:
 
-    '+' : c_n -> kappa_{n+1} c_n placed at n+1
-    '-' : c_n -> kappa_n c_n placed at n-1 (the n = 0 component is annihilated)
-    '0' : c_n -> (n + s) c_n   (the compact generator H/(2 omega0))
+        K+ R_n = kappa_{n+1} R_{n+1},   K- = (K+)^T,   K0 R_n = (n + s) R_n,
+
+    K0 being the Hamiltonian in units of 2 omega0. K+ is truncated: its
+    image of R_{size-1} leaves the span and is dropped.
     """
-    lc = LadderCoefficients.from_params(state.params)
-    d = derive_params(state.params)
-    out: dict[int, complex] = {}
-    for n, c in state.coeffs.items():
-        if direction == "+":
-            out[n + 1] = out.get(n + 1, 0.0) + lc.kappa(n + 1) * c
-        elif direction == "-":
-            if n >= 1:
-                out[n - 1] = out.get(n - 1, 0.0) + lc.kappa(n) * c
-        elif direction == "0":
-            out[n] = out.get(n, 0.0) + (n + d.s) * c
-        else:
-            raise ValueError(f"direction must be '+', '-', or '0', got {direction!r}")
-    return CoefficientState(out, state.params)
+    if size < 1 or size != int(size):
+        raise ValueError("size must be a positive integer")
+    d = derive_params(p)
+    lc = LadderCoefficients.from_params(p, d)
+    k_plus = np.diag([lc.kappa(n) for n in range(1, int(size))], -1)
+    return k_plus, k_plus.T, np.diag(np.arange(size) + d.s)
 
 
-def _spectral_ladder_scalar(state: RadialState, direction: str) -> float:
-    """Spectral scalar turning A+- images into unit ladder steps: -f(E)^(-1/2).
-
-    The minus sign fixes the ladder constants positive real (the raw
-    proportionality constants of A+- are negative with positive norm
-    constants and the principal-branch degree phase).
-    """
-    lc = LadderCoefficients.from_params(state.params, state.derived)
-    n = state.n
-    target = n + 1 if direction == "+" else n
-    return -1.0 / np.sqrt(lc.f_energy(target))
+def casimir(p: ModelParams, size: int) -> np.ndarray:
+    """The Casimir K0(K0 - 1) - K+ K- as a size x size matrix; it equals
+    s(s-1) I (K- acts first, so the truncation of K+ never shows)."""
+    k_plus, k_minus, k0 = su11_generators(p, size)
+    return k0 @ (k0 - np.eye(size)) - k_plus @ k_minus
 
 
 def k_raise_pointwise(state: RadialState) -> AnalyticFunction:
     """K+ R_n as an evaluable function: the spectral scalar -f(E_{n+1})^(-1/2)
     times A+ R_n; equals kappa_{n+1} R_{n+1} up to the verified residual."""
+    lc = LadderCoefficients.from_params(state.params, state.derived)
     Ap = build_A_plus(state.params)
-    return compose(scale(_spectral_ladder_scalar(state, "+")), Ap).apply(state.fn)
+    return compose(scale(lc.spectral_scalar(state.n + 1)), Ap).apply(state.fn)
 
 
 def k_lower_pointwise(state: RadialState) -> AnalyticFunction:
     """K- R_n = -f(E_n)^(-1/2) A- R_n; equals kappa_n R_{n-1} (zero for n = 0)."""
+    lc = LadderCoefficients.from_params(state.params, state.derived)
     Am = build_A_minus(state.params)
-    return compose(scale(_spectral_ladder_scalar(state, "-")), Am).apply(state.fn)
-
-
-def casimir(state: CoefficientState) -> complex:
-    """Rayleigh quotient of the Casimir K0(K0 - 1) - K+ K- on a coefficient state.
-
-    Equals s(s-1) on every component, hence on any superposition.
-    """
-    nsq = state.norm_sq()
-    if nsq == 0:
-        raise ValueError("casimir of the zero state is undefined")
-    k0 = K_action("0", state)
-    k0k0 = K_action("0", k0)
-    kpkm = K_action("+", K_action("-", state))
-    image = {}
-    for n in set(k0k0.coeffs) | set(k0.coeffs) | set(kpkm.coeffs):
-        image[n] = (k0k0.coeffs.get(n, 0.0) - k0.coeffs.get(n, 0.0)
-                    - kpkm.coeffs.get(n, 0.0))
-    return complex(state.inner(CoefficientState(image, state.params))) / nsq
+    return compose(scale(lc.spectral_scalar(state.n)), Am).apply(state.fn)
 
 
 def commutator_residual(X: LinearOperator, Y: LinearOperator, rhs: LinearOperator,
@@ -323,28 +270,26 @@ def commutator_residual(X: LinearOperator, Y: LinearOperator, rhs: LinearOperato
     return float(np.max(resids, initial=0.0))  # unlike the builtin max, keeps a nan
 
 
-def generate_state_via_ladder(p: ModelParams, n: int, max_rungs: int = 8) -> RadialState:
-    """Build R_n = [n! (alpha+nu)_n]^(-1/2) (K+)^n R_0 through the pointwise route.
+def generate_state_via_ladder(p: ModelParams, n: int) -> RadialState:
+    """Build R_n = (K+)^n R_0 / (kappa_1 ... kappa_n) through the pointwise route.
 
     (K+)^n is the n-fold product of the raising operator with the spectral
     scalars multiplied out, one stencil with at most 4n + 1 offsets, and it
     is applied to R_0 once. The shift budget limits the pointwise route to
-    n <= max_rungs.
+    n <= MAX_RUNGS.
     """
     if n < 0 or n != int(n):
         raise ValueError("n must be a non-negative integer")
-    if n > max_rungs:
-        raise ValueError(f"pointwise ladder route supports n <= {max_rungs}, got {n}")
+    if n > MAX_RUNGS:
+        raise ValueError(f"pointwise ladder route supports n <= {MAX_RUNGS}, got {n}")
     ground = radial_wavefunction(p, 0)
     if n == 0:
         return ground
     d = ground.derived
     lc = LadderCoefficients.from_params(p, d)
-
-    sigma_poch = float(np.real(specfun.pochhammer(d.alpha + d.nu, n)))
-    pref = 1.0 / np.sqrt(math.factorial(n) * sigma_poch)
+    pref = 1.0
     for k in range(1, n + 1):
-        pref *= -1.0 / np.sqrt(lc.f_energy(k))
+        pref *= lc.spectral_scalar(k) / lc.kappa(k)
     chain = compose(scale(pref), *[build_A_plus(p)] * n)
     return RadialState(
         params=p, derived=d, n=int(n), energy=energy(n, d, p.omega0),

@@ -251,6 +251,15 @@ def test_negative_control_report_semantics(capsys):
     assert entry["residual"] <= 1.0
 
 
+def test_eval_rejects_format_flag(capsys):
+    # eval always writes CSV; --format belongs to spectrum and verify only
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--dims", "3", "--l", "0", "--omega0", "0.2", "--g0", "0.1",
+              "--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 def test_config_errors_exit_2(capsys):
     for argv in (
         ["verify", "--checks", "nope"],

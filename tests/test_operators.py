@@ -127,13 +127,6 @@ def test_real_shift_consumes_no_budget():
     assert shift(2.0 + 0.25j).shift_budget == pytest.approx(0.25)
 
 
-def test_multiply_by_analytic_function_limits_strip():
-    f = AnalyticFunction(lambda z: np.exp(-z ** 2), strip_halfwidth=5.0)
-    factor = AnalyticFunction(lambda z: 1.0 / (4.0 + z ** 2), strip_halfwidth=1.5)
-    g = multiply_by(factor).apply(f)
-    assert g.strip_halfwidth == pytest.approx(1.5)
-
-
 def test_singular_point_error():
     op = multiply_by(lambda z: 1.0 / z, singular_points=(0.0,))
     f = entire(lambda z: np.ones_like(np.asarray(z, dtype=complex)))
