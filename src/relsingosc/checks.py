@@ -54,6 +54,7 @@ from .symmetry import (
     generate_state_via_ladder,
     k_lower_pointwise,
     k_raise_pointwise,
+    momentum_commutator,
 )
 
 __all__ = [
@@ -360,7 +361,7 @@ def check_momentum_routes(ctx: GridContext) -> float:
     pts = np.asarray(ctx.rho_samples)
     st = ctx.state(0)
     explicit = np.asarray(ctx.op("P").apply(st.fn)(pts))
-    comm = np.asarray(build_momentum(ctx.params, route="commutator").apply(st.fn)(pts))
+    comm = np.asarray(momentum_commutator(ctx.params).apply(st.fn)(pts))
     den = np.abs(explicit) + _GUARD
     return float(np.max(np.abs(explicit - comm) / den))
 

@@ -7,9 +7,15 @@ Three subcommands:
     verify     run named verification checks over a grid and emit a report
 
 Grid flags take comma-separated lists (--dims, --l, --omega0, --g0);
---n-max bounds the radial quantum number. A JSON config file mirroring the
-flag names can seed any option; explicit flags override it. Tolerances are
-overridden per check with --tol-<check-id> VALUE.
+--n-max bounds the radial quantum number. `verify` overrides a check's
+tolerance with --tol-<check-id> VALUE.
+
+Each subcommand's argparse parser is the one table of its options, and it
+checks every value. A JSON config file (--config FILE) is read as flags of
+the chosen subcommand: each key is a flag name, with `_` read as `-`, and a
+list value is joined by commas. The file's flags go before the command
+line's, so explicit flags override them. A key the subcommand does not take
+exits 2, as its flag would.
 
 Exit codes: 0 all checks passed (or tables emitted), 1 verification
 failures, 2 configuration/validation errors. Grid points outside the valid
@@ -85,62 +91,67 @@ class RunConfig:
         }
 
 
-def _parse_list(value, kind):
-    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
-    try:
-        return tuple(kind(v) for v in items if v != "")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"expected comma-separated {kind.__name__} values, "
-                          f"got {value!r}") from exc
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise ConfigError instead of exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
-def _parse_grid_spec(value):
-    if isinstance(value, (list, tuple)) and len(value) == 3:
-        start, stop, count = value
-    else:
-        parts = str(value).split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"--grid expects start:stop:count, got {value!r}")
-        start, stop, count = parts
+def _list_of(kind):
+    """argparse type: comma-separated `kind` values, empty items skipped."""
+    def parse(value):
+        try:
+            return tuple(kind(v) for v in value.split(",") if v != "")
+        except (ValueError, OverflowError) as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, got {value!r}") from exc
+    return parse
+
+
+def _check_ids(value):
+    ids = _list_of(str)(value)
+    unknown = [c for c in ids if c not in CHECKS]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown check ids: {', '.join(unknown)}")
+    return ids
+
+
+def _non_negative_int(value):
     try:
+        n = int(value)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value!r}")
+    return n
+
+
+def _grid_spec(value):
+    """start:stop:count with finite bounds, stop > start and count >= 2."""
+    try:
+        start, stop, count = value.split(":")
         start, stop, count = float(start), float(stop), int(count)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"--grid expects numbers start:stop:count, got {value!r}") from exc
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected numbers start:stop:count, got {value!r}") from exc
     if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ConfigError(f"rho grid bounds must be finite, got {value!r}")
+        raise argparse.ArgumentTypeError(f"rho grid bounds must be finite, got {value!r}")
     if not (stop > start and count >= 2):
-        raise ConfigError(f"degenerate rho grid {value!r}")
+        raise argparse.ArgumentTypeError(f"degenerate rho grid {value!r}")
     return (start, stop, count)
 
 
-def _extract_tol_overrides(argv):
-    """Pull --tol-<check_id> VALUE (or =VALUE) pairs out of the raw argv."""
-    rest, tols = [], {}
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg.startswith("--tol-"):
-            if "=" in arg:
-                key, val = arg[len("--tol-"):].split("=", 1)
-            else:
-                key = arg[len("--tol-"):]
-                i += 1
-                if i >= len(argv):
-                    raise ConfigError(f"missing value for {arg}")
-                val = argv[i]
-            if key not in CHECKS:
-                raise ConfigError(f"unknown check id in tolerance override: {key}")
-            try:
-                tols[key] = float(val)
-            except ValueError as exc:
-                raise ConfigError(f"bad tolerance for {key}: {val!r}") from exc
-        else:
-            rest.append(arg)
-        i += 1
-    return rest, tols
+class _Tolerance(argparse.Action):
+    """--tol-<check_id> VALUE: the tolerance of check `const`, kept in `tolerances`."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        namespace.tolerances = {**(namespace.tolerances or {}), self.const: value}
 
 
-def _load_config_file(path) -> dict:
+def _config_flags(path) -> list:
+    """The JSON config file as flag tokens: key -> --key, with `_` read as
+    `-`, and a list value joined by commas."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -148,71 +159,9 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    return data
-
-
-def _build_config(args, tol_overrides) -> RunConfig:
-    cfg = RunConfig()
-    file_data = _load_config_file(args.config) if args.config else {}
-
-    # config-file keys mirror the flag names (dashes or underscores)
-    def file_get(*names):
-        for name in names:
-            if name in file_data:
-                return file_data[name]
-        return None
-
-    def pick(flag_value, *file_names):
-        return flag_value if flag_value is not None else file_get(*file_names)
-
-    v = pick(args.dims, "dims")
-    if v is not None:
-        cfg.dims = _parse_list(v, int)
-    v = pick(args.l, "l")
-    if v is not None:
-        cfg.l = _parse_list(v, int)
-    v = pick(args.n_max, "n-max", "n_max")
-    if v is not None:
-        cfg.n_max = int(v)
-    v = pick(args.omega0, "omega0")
-    if v is not None:
-        cfg.omega0 = _parse_list(v, float)
-    v = pick(args.g0, "g0")
-    if v is not None:
-        cfg.g0 = _parse_list(v, float)
-    v = pick(getattr(args, "checks", None), "checks")
-    if v is not None:
-        ids = _parse_list(v, str)
-        unknown = [c for c in ids if c not in CHECKS]
-        if unknown:
-            raise ConfigError(f"unknown check ids: {', '.join(unknown)}")
-        cfg.checks = ids
-    v = pick(getattr(args, "rho", None), "rho", "rho-samples", "rho_samples")
-    if v is not None:
-        cfg.rho_samples = _parse_list(v, float)
-    v = pick(getattr(args, "grid", None), "grid")
-    if v is not None:
-        cfg.grid = _parse_grid_spec(v)
-    v = pick(getattr(args, "format", None), "format")
-    if v is not None:
-        if v not in ("text", "json", "csv"):
-            raise ConfigError(f"unknown format {v!r}")
-        cfg.format = v
-    v = pick(args.out, "out")
-    if v is not None:
-        cfg.out = str(v)
-
-    for key, val in file_data.items():
-        if key.startswith("tol-"):
-            cid = key[len("tol-"):]
-            if cid not in CHECKS:
-                raise ConfigError(f"unknown check id in config tolerance: {cid}")
-            cfg.tolerances[cid] = float(val)
-    cfg.tolerances.update(tol_overrides)
-
-    if cfg.n_max < 0:
-        raise ConfigError("n-max must be non-negative")
-    return cfg
+    return [f"--{key.replace('_', '-')}="
+            + (",".join(map(str, val)) if isinstance(val, list) else str(val))
+            for key, val in data.items()]
 
 
 def _thread_count() -> int:
@@ -378,17 +327,18 @@ def cmd_verify(cfg: RunConfig) -> int:
 # --------------------------------------------------------------------------
 
 def _add_common(sub):
-    sub.add_argument("--dims", help="comma-separated list of spatial dimensions N")
-    sub.add_argument("--l", help="comma-separated orbital quantum numbers")
-    sub.add_argument("--n-max", dest="n_max", type=int, help="largest radial quantum number")
-    sub.add_argument("--omega0", help="comma-separated oscillator strengths")
-    sub.add_argument("--g0", help="comma-separated inverse-square couplings")
+    sub.add_argument("--dims", type=_list_of(int),
+                     help="comma-separated list of spatial dimensions N")
+    sub.add_argument("--l", type=_list_of(int), help="comma-separated orbital quantum numbers")
+    sub.add_argument("--n-max", type=_non_negative_int, help="largest radial quantum number")
+    sub.add_argument("--omega0", type=_list_of(float), help="comma-separated oscillator strengths")
+    sub.add_argument("--g0", type=_list_of(float), help="comma-separated inverse-square couplings")
     sub.add_argument("--out", help="write output to this path instead of stdout")
-    sub.add_argument("--config", help="JSON config file mirroring the flags")
+    sub.add_argument("--config", help="JSON file whose keys are this subcommand's flag names")
 
 
 def _parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="relsingosc",
         description="Relativistic singular-oscillator model: spectra, wavefunctions, "
                     "and numerical verification of the model identities.",
@@ -401,36 +351,46 @@ def _parser():
 
     ev = subs.add_parser("eval", help="tabulate radial wavefunction values as CSV")
     _add_common(ev)
-    ev.add_argument("--grid", help="rho grid as start:stop:count")
+    ev.add_argument("--grid", type=_grid_spec, help="rho grid as start:stop:count")
 
     vf = subs.add_parser("verify", help="run verification checks and report")
     _add_common(vf)
     vf.add_argument("--format", choices=("text", "json", "csv"))
-    vf.add_argument("--checks", help="comma-separated check ids (default: all)")
-    vf.add_argument("--rho", help="comma-separated residual sample points")
+    vf.add_argument("--checks", type=_check_ids,
+                    help="comma-separated check ids (default: all)")
+    vf.add_argument("--rho", dest="rho_samples", type=_list_of(float),
+                    help="comma-separated residual sample points")
+    for cid, cdef in sorted(CHECKS.items()):
+        vf.add_argument(f"--tol-{cid}", action=_Tolerance, const=cid, dest="tolerances",
+                        type=float, metavar="TOL",
+                        help=f"tolerance of {cid} (default {cdef.default_tol:g})")
     vf.add_argument("--list-checks", action="store_true",
                     help="list available check ids and exit")
     return ap
 
 
+_COMMANDS = {"spectrum": cmd_spectrum, "eval": cmd_eval, "verify": cmd_verify}
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv, tol_overrides = _extract_tol_overrides(argv)
-        args = _parser().parse_args(argv)
+        ap = _parser()
+        args = ap.parse_args(argv)
+        if args.config:
+            # the file's flags go first, so the command line's win
+            try:
+                args = ap.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
+            except ConfigError as exc:
+                raise ConfigError(f"config file {args.config}: {exc}") from exc
         if getattr(args, "list_checks", False):
             for cid, cdef in sorted(CHECKS.items()):
                 print(f"{cid:<36} [{cdef.scope}] default tol {cdef.default_tol:g}  "
                       f"{cdef.description}")
             return EXIT_OK
-        cfg = _build_config(args, tol_overrides)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                           if getattr(args, f.name, None) is not None})
+        return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

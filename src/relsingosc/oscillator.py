@@ -251,8 +251,7 @@ def hamiltonian_reduced(p: ModelParams) -> LinearOperator:
 
     Singular at rho = 0 and rho = -i, where rho^(2) vanishes.
     """
-    d = derive_params(p)
-    LL1 = d.L * (d.L + 1.0)
+    LL1 = p.L * (p.L + 1.0)
     half_w2 = 0.5 * p.omega0 ** 2
     g0 = p.g0
 

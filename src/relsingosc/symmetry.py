@@ -53,6 +53,7 @@ __all__ = [
     "build_a_minus",
     "build_a_plus",
     "build_momentum",
+    "momentum_commutator",
     "build_A_minus",
     "build_A_plus",
     "su11_generators",
@@ -150,27 +151,17 @@ def build_a_plus(p: ModelParams) -> LinearOperator:
     return _factorization(p, -1.0)
 
 
-def build_momentum(p: ModelParams, route: str = "explicit") -> LinearOperator:
-    """Generalized momentum operator in units of mc.
-
-    route="explicit":
+def build_momentum(p: ModelParams) -> LinearOperator:
+    """Generalized momentum operator in units of mc:
 
         P = -[ sinh(i d) + ( omega0^2 rho^(2)/2 + (g0 + L(L+1)/2)/rho^(2) ) e^{i d} ]
 
-    route="commutator": P = i [H, rho] built literally as operator chains.
-    Both constructions agree pointwise (they are compared in the test
-    suite); the explicit multiplication term enters with a plus sign, which
-    is what the commutator identity fixes.
+    It agrees pointwise with its definition i[H, rho] (`momentum_commutator`,
+    compared in the test suite and the `momentum-routes` check); the
+    multiplication term enters with a plus sign, which is what the
+    commutator identity fixes.
     """
-    if route == "commutator":
-        H = hamiltonian_reduced(p)
-        rho_op = _rho_times()
-        return compose(scale(1j), op_sum(compose(H, rho_op), compose(scale(-1.0), rho_op, H)))
-    if route != "explicit":
-        raise ValueError(f"unknown momentum route {route!r}")
-
-    d = derive_params(p)
-    c_inv = p.g0 + d.L * (d.L + 1.0) / 2.0
+    c_inv = p.g0 + p.L * (p.L + 1.0) / 2.0
     half_w2 = 0.5 * p.omega0 ** 2
 
     def factor(z):
@@ -183,13 +174,20 @@ def build_momentum(p: ModelParams, route: str = "explicit") -> LinearOperator:
     ))
 
 
+def momentum_commutator(p: ModelParams) -> LinearOperator:
+    """The momentum by its definition P = i [H, rho], built literally as
+    operator chains; the reference that `build_momentum` is checked against."""
+    H = hamiltonian_reduced(p)
+    rho_op = _rho_times()
+    return compose(scale(1j), op_sum(compose(H, rho_op), compose(scale(-1.0), rho_op, H)))
+
+
 def _ladder_quadratic(p: ModelParams, inner_sign: float) -> LinearOperator:
     """(omega0 rho + inner_sign * i P)^2 - (2 g0 + L(L+1))/(1 + rho^2), as
     a literal compose of sums (no manual simplification), over 2 omega0."""
-    d = derive_params(p)
     P = build_momentum(p)
     B = op_sum(compose(scale(p.omega0), _rho_times()), compose(scale(inner_sign * 1j), P))
-    well = 2.0 * p.g0 + d.L * (d.L + 1.0)
+    well = 2.0 * p.g0 + p.L * (p.L + 1.0)
 
     def well_factor(z):
         return -well / (1.0 + z * z)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relsingosc
 from relsingosc.cli import main
 
 VALID = ["--dims", "3", "--l", "1", "--omega0", "0.1", "--g0", "1.0"]
@@ -253,11 +258,32 @@ def test_negative_control_report_semantics(capsys):
 
 def test_eval_rejects_format_flag(capsys):
     # eval always writes CSV; --format belongs to spectrum and verify only
-    with pytest.raises(SystemExit) as exc:
-        main(["eval", "--dims", "3", "--l", "0", "--omega0", "0.2", "--g0", "0.1",
-              "--format", "json"])
-    assert exc.value.code == 2
-    assert "--format" in capsys.readouterr().err
+    code, _, err = run(capsys, ["eval", "--dims", "3", "--l", "0", "--omega0", "0.2",
+                                "--g0", "0.1", "--format", "json"])
+    assert code == 2
+    assert "--format" in err
+
+
+def test_config_keys_are_the_subcommands_flags(tmp_path, capsys):
+    def with_config(command, data, *flags):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        return run(capsys, [command, "--config", str(path)] + VALID + list(flags))
+
+    # a key or flag the subcommand does not take is rejected, file or not
+    for code, out, err in (
+        with_config("eval", {"format": "json"}),
+        with_config("spectrum", {"checks": "eigen-residual"}),
+        run(capsys, ["spectrum"] + VALID + ["--tol-eigen-residual", "1"]),
+        with_config("verify", {"rho_samples": [1.0, 2.0]}),
+    ):
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+    # underscores in a key read as dashes
+    code, out, _ = with_config("spectrum", {"n_max": 2}, "--format", "csv")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 3  # header, then n = 0, 1, 2
 
 
 def test_config_errors_exit_2(capsys):
@@ -292,3 +318,25 @@ def test_rho_sample_override(capsys):
     data = json.loads(out)
     assert data["config"]["rho_samples"] == [0.4, 1.7, 6.0]
     assert data["entries"][0]["pass"] is True
+
+
+def test_console_script_exit_codes(tmp_path):
+    # through the real process: `python -m relsingosc.cli` exits via sys.exit(main())
+    src = str(Path(relsingosc.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "relsingosc.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"no_such_flag": 1}))
+    proc = cli("spectrum", "--config", str(bad))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    proc = cli("spectrum", *VALID, "--n-max", "0", "--format", "csv")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0].startswith("N,l,n,")
+    assert len(proc.stdout.splitlines()) == 2

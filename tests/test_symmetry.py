@@ -35,6 +35,7 @@ from relsingosc.symmetry import (
     generate_state_via_ladder,
     k_lower_pointwise,
     k_raise_pointwise,
+    momentum_commutator,
     su11_generators,
 )
 
@@ -98,8 +99,8 @@ def test_momentum_on_constant():
 
 
 def test_momentum_commutator_route_agrees(states):
-    explicit = build_momentum(P, route="explicit")
-    comm = build_momentum(P, route="commutator")
+    explicit = build_momentum(P)
+    comm = momentum_commutator(P)
     f = states[0].fn
     a = np.asarray(explicit.apply(f)(PTS))
     b = np.asarray(comm.apply(f)(PTS))
