@@ -14,6 +14,7 @@ from .specfun import (
     cdh_log_norm,
     cdh_norm,
     cdh_poly,
+    cdh_polys,
     cdh_weight,
     generalized_degree,
     log_gamma,
@@ -30,6 +31,7 @@ from .operators import (
     linear_combination,
     multiply_by,
     op_sum,
+    powers,
     scale,
     shift,
     sinh_shift,
@@ -47,6 +49,7 @@ from .oscillator import (
     DerivedParams,
     InvalidParametersError,
     ModelParams,
+    RadialBasis,
     RadialState,
     derive_params,
     eigen_residual,
@@ -55,6 +58,7 @@ from .oscillator import (
     hamiltonian_reduced,
     nonrel_energy,
     quasipotential_op,
+    radial_basis,
     radial_wavefunction,
 )
 from .symmetry import (
@@ -66,6 +70,7 @@ from .symmetry import (
     build_momentum,
     casimir,
     commutator_residual,
+    generate_basis_via_ladder,
     generate_state_via_ladder,
     su11_generators,
 )

@@ -11,6 +11,7 @@ residual) report the margin ratio threshold/observed against tolerance 1.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -23,7 +24,6 @@ from .operators import (
     AnalyticFunction,
     compose,
     identity_op,
-    linear_combination,
     op_sum,
     scale,
     taylor_limit_check,
@@ -32,6 +32,7 @@ from .oscillator import (
     RHO_SAMPLES,
     InvalidParametersError,
     ModelParams,
+    RadialBasis,
     derive_params,
     eigen_residual,
     energy,
@@ -39,6 +40,7 @@ from .oscillator import (
     hamiltonian_reduced,
     nonrel_energy,
     quasipotential_scaled,
+    radial_basis,
     radial_wavefunction,
 )
 from .quadrature import DecayHint, cdh_gram, integrate_halfline
@@ -51,9 +53,7 @@ from .symmetry import (
     build_momentum,
     casimir,
     commutator_residual,
-    generate_state_via_ladder,
-    k_lower_pointwise,
-    k_raise_pointwise,
+    generate_basis_via_ladder,
     momentum_commutator,
 )
 
@@ -82,10 +82,10 @@ DEFAULT_GRID = {
 }
 
 # fixed superposition coefficients for commutator test functions
-_SUPERPOSITIONS = (
+_SUPERPOSITIONS = np.array([
     (1.0, 0.5, -0.25, 0.125),
     (0.3 + 0.4j, -0.7, 0.2j, 0.1),
-)
+])
 
 
 @dataclass(frozen=True)
@@ -119,31 +119,37 @@ class CheckDef:
 
 
 class GridContext:
-    """Per-parameter-point cache of eigenstates and operator chains."""
+    """Per-parameter-point cache of the eigenbasis and the operators.
+
+    A check reads the states as rows of one basis, `basis(top)` = R_0..R_top,
+    and applies each operator to all rows at once. Each check asks for the
+    rows it reads (R_0..R_nmax, R_0..R_3 for the superpositions, one more
+    than the ladder rows for ladder-action), so a norm constant that
+    overflows beyond them does not turn it into an error.
+    """
 
     def __init__(self, params: ModelParams, n_max: int = 5, rho_samples=RHO_SAMPLES):
         self.params = params
         self.n_max = int(n_max)
         self.rho_samples = tuple(rho_samples)
         self.derived = derive_params(params)
-        self._states: dict[int, object] = {}
-        self._ladder_states: dict[int, object] = {}
+        self._bases: dict[int, RadialBasis] = {}
+        self._ladder_basis: RadialBasis | None = None
         self._ops: dict[str, object] = {}
         self._gram: tuple[float, float] | None = None
 
-    def state(self, n: int):
-        if n not in self._states:
-            self._states[n] = radial_wavefunction(self.params, n)
-        return self._states[n]
+    def basis(self, top: int) -> RadialBasis:
+        """R_0..R_top evaluated directly, stacked on a leading axis."""
+        if top not in self._bases:
+            self._bases[top] = radial_basis(self.params, top)
+        return self._bases[top]
 
-    def ladder_state(self, n: int):
-        """R_n built as (K+)^n R_0, shared by the state-generation checks."""
-        if n not in self._ladder_states:
-            self._ladder_states[n] = generate_state_via_ladder(self.params, n)
-        return self._ladder_states[n]
-
-    def states(self, up_to: int):
-        return {n: self.state(n) for n in range(up_to + 1)}
+    def ladder_basis(self) -> RadialBasis:
+        """R_0..R_top, top = min(4, n_max), built as (K+)^n R_0 in one pass;
+        shared by the state-generation checks."""
+        if self._ladder_basis is None:
+            self._ladder_basis = generate_basis_via_ladder(self.params, min(4, self.n_max))
+        return self._ladder_basis
 
     def op(self, name: str):
         if name not in self._ops:
@@ -168,7 +174,7 @@ class GridContext:
         one more node exposes."""
         if self._gram is None:
             M = self.n_max + 1
-            fns = [self.state(n).fn for n in range(M)]
+            fns = [self.basis(self.n_max).fn]
             G = cdh_gram(fns, self.derived.cdh, M)
             G_next = cdh_gram(fns, self.derived.cdh, M + 1)
             self._gram = (float(np.max(np.abs(G - np.eye(M)))),
@@ -178,10 +184,12 @@ class GridContext:
     def energy_of(self, n: int) -> float:
         return energy(n, self.derived, self.params.omega0)
 
-    def superpositions(self, up_to: int = 3):
-        states = self.states(up_to)
-        fns = [states[n].fn for n in range(up_to + 1)]
-        return [linear_combination(cs, fns) for cs in _SUPERPOSITIONS]
+    def superpositions(self) -> AnalyticFunction:
+        """The fixed superpositions of R_0..R_3, one per row: coefficient
+        vectors on the rows of the basis."""
+        rows = self.basis(3).fn
+        return AnalyticFunction(lambda z: np.tensordot(_SUPERPOSITIONS, rows(z), 1),
+                                rows.strip_halfwidth, rows.singular_points)
 
 
 # --------------------------------------------------------------------------
@@ -194,13 +202,14 @@ def _worst(residuals) -> float:
     return float(np.max(residuals, initial=0.0))
 
 
+def _eigen_rows(op, basis: RadialBasis, points, shift: float = 0.0):
+    """The eigen-residual of op against E_n + shift, one per row of basis,
+    from one image of the basis."""
+    return eigen_residual(op, basis.fn, (basis.energies + shift)[:, None], points)
+
+
 def check_eigen_residual(ctx: GridContext) -> float:
-    H = ctx.op("H")
-    resids = []
-    for n in range(ctx.n_max + 1):
-        st = ctx.state(n)
-        resids.append(eigen_residual(H, st.fn, st.energy, ctx.rho_samples))
-    return _worst(resids)
+    return _worst(_eigen_rows(ctx.op("H"), ctx.basis(ctx.n_max), ctx.rho_samples))
 
 
 def check_eigen_negative_control(ctx: GridContext) -> float:
@@ -208,12 +217,8 @@ def check_eigen_negative_control(ctx: GridContext) -> float:
 
     Reported residual is threshold/observed so that pass <=> residual <= 1.
     """
-    H = ctx.op("H")
-    observed = []
-    for n in range(ctx.n_max + 1):
-        st = ctx.state(n)
-        r = eigen_residual(H, st.fn, st.energy + 0.1 * ctx.params.omega0, ctx.rho_samples)
-        observed.append(r)
+    observed = _eigen_rows(ctx.op("H"), ctx.basis(ctx.n_max), ctx.rho_samples,
+                           0.1 * ctx.params.omega0)
     # np.min and np.maximum keep a nan, where the builtins would drop it
     return NEGATIVE_CONTROL_THRESHOLD / np.maximum(np.min(observed), _GUARD)
 
@@ -232,17 +237,13 @@ def check_factorization(ctx: GridContext) -> float:
         compose(ctx.op("a+"), ctx.op("a-")),
         compose(scale(sigma), identity_op()),
     ))
-    resids = []
-    for n in range(ctx.n_max + 1):
-        st = ctx.state(n)
-        resids.append(eigen_residual(op, st.fn, st.energy, ctx.rho_samples))
-    return _worst(resids)
+    return _worst(_eigen_rows(op, ctx.basis(ctx.n_max), ctx.rho_samples))
 
 
 def check_commutator_hamiltonian_ladder(ctx: GridContext) -> float:
     """[H, A+-] = +-2 omega0 A+- pointwise on eigenbasis superpositions."""
     H = ctx.op("H")
-    fns = ctx.superpositions(3)
+    fns = [ctx.superpositions()]
     pts = ctx.rho_samples
     two_w = 2.0 * ctx.params.omega0
     r_plus = commutator_residual(H, ctx.op("A+"), compose(scale(two_w), ctx.op("A+")), fns, pts)
@@ -300,22 +301,25 @@ def _pointwise_match(got, want, floor_scale: float) -> float:
 
 
 def check_ladder_action(ctx: GridContext) -> float:
-    """Pointwise K+ R_n vs kappa_{n+1} R_{n+1} and K- R_n vs kappa_n R_{n-1}."""
+    """Pointwise K+ R_n vs kappa_{n+1} R_{n+1} and K- R_n vs kappa_n R_{n-1},
+    n <= 4, with K+- the spectral scalars times one image of A+- each."""
     lc = LadderCoefficients.from_params(ctx.params, ctx.derived)
     pts = np.asarray(ctx.rho_samples)
-    resids = []
     top = min(4, ctx.n_max)
+    states = ctx.basis(top + 1).fn
+    vals = np.asarray(states(pts))
+    ups = np.asarray(ctx.op("A+").apply(states)(pts))
+    downs = np.asarray(ctx.op("A-").apply(states)(pts))
+    resids = []
     for n in range(top + 1):
-        st = ctx.state(n)
-        up = k_raise_pointwise(st)(pts)
-        want_up = lc.kappa(n + 1) * np.asarray(ctx.state(n + 1).fn(pts))
+        up = lc.spectral_scalar(n + 1) * ups[n]
+        want_up = lc.kappa(n + 1) * vals[n + 1]
         resids.append(_pointwise_match(up, want_up, float(np.max(np.abs(want_up)))))
-        down = k_lower_pointwise(st)(pts)
+        down = lc.spectral_scalar(n) * downs[n]
         if n == 0:
-            scale0 = float(np.max(np.abs(np.asarray(st.fn(pts)))))
-            resids.append(float(np.max(np.abs(down))) / scale0)
+            resids.append(float(np.max(np.abs(down))) / float(np.max(np.abs(vals[0]))))
         else:
-            want_dn = lc.kappa(n) * np.asarray(ctx.state(n - 1).fn(pts))
+            want_dn = lc.kappa(n) * vals[n - 1]
             resids.append(_pointwise_match(down, want_dn, float(np.max(np.abs(want_dn)))))
     return _worst(resids)
 
@@ -323,43 +327,39 @@ def check_ladder_action(ctx: GridContext) -> float:
 def check_state_generation(ctx: GridContext) -> float:
     """Ladder-generated R_n vs direct evaluation, pointwise, n <= 4."""
     pts = np.asarray(ctx.rho_samples)
-    resids = []
-    for n in range(1, min(4, ctx.n_max) + 1):
-        want = np.asarray(ctx.state(n).fn(pts))
-        got = np.asarray(ctx.ladder_state(n).fn(pts))
-        resids.append(_pointwise_match(got, want, float(np.max(np.abs(want)))))
-    return _worst(resids)
+    top = min(4, ctx.n_max)
+    want = np.asarray(ctx.basis(top).fn(pts))
+    got = np.asarray(ctx.ladder_basis().fn(pts))
+    return _worst([_pointwise_match(got[n], want[n], float(np.max(np.abs(want[n]))))
+                   for n in range(1, top + 1)])
 
 
 def check_state_generation_norm(ctx: GridContext) -> float:
     """|norm - 1| of ladder-generated states, n <= 4, by the Gauss-CDH rule
     with top + 1 nodes, exact for the true states up to n = top."""
-    top = min(4, ctx.n_max)
-    G = cdh_gram([ctx.ladder_state(n).fn for n in range(1, top + 1)], ctx.derived.cdh, top + 1)
-    return _worst(np.abs(np.diag(G) - 1.0))
+    ladder = ctx.ladder_basis()
+    G = cdh_gram([ladder.fn], ctx.derived.cdh, ladder.top + 1)
+    return _worst(np.abs(np.diag(G)[1:] - 1.0))
 
 
 def check_reduction_chain(ctx: GridContext) -> float:
     """psi = multiplier * R satisfies the unreduced N-dimensional radial
     eigen-equation at the sample points, n <= 2."""
     p = ctx.params
-    H_N = hamiltonian_radial_N(p)
-    resids = []
-    for n in range(min(2, ctx.n_max) + 1):
-        st = ctx.state(n)
+    basis = ctx.basis(min(2, ctx.n_max))
+    rows = basis.fn
 
-        def psi_eval(z, _f=st.fn.fn):
-            return planewaves.reduction_multiplier(z, p.N) * _f(z)
+    def psi_eval(z):
+        return planewaves.reduction_multiplier(z, p.N) * rows(z)
 
-        psi = AnalyticFunction(psi_eval, st.fn.strip_halfwidth)
-        resids.append(eigen_residual(H_N, psi, st.energy, ctx.rho_samples))
-    return _worst(resids)
+    psi = dataclasses.replace(basis, fn=AnalyticFunction(psi_eval, rows.strip_halfwidth))
+    return _worst(_eigen_rows(hamiltonian_radial_N(p), psi, ctx.rho_samples))
 
 
 def check_momentum_routes(ctx: GridContext) -> float:
     """Explicit momentum operator vs its commutator definition i[H, rho]."""
     pts = np.asarray(ctx.rho_samples)
-    st = ctx.state(0)
+    st = radial_wavefunction(ctx.params, 0)
     explicit = np.asarray(ctx.op("P").apply(st.fn)(pts))
     comm = np.asarray(momentum_commutator(ctx.params).apply(st.fn)(pts))
     den = np.abs(explicit) + _GUARD

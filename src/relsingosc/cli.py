@@ -15,7 +15,9 @@ checks every value. A JSON config file (--config FILE) is read as flags of
 the chosen subcommand: each key is a flag name, with `_` read as `-`, and a
 list value is joined by commas. The file's flags go before the command
 line's, so explicit flags override them. A key the subcommand does not take
-exits 2, as its flag would.
+exits 2, as its flag would; so does a key that only abbreviates a flag
+(flags are never abbreviated, on the command line either) and a `config`
+key.
 
 Exit codes: 0 all checks passed (or tables emitted), 1 verification
 failures, 2 configuration/validation errors. Grid points outside the valid
@@ -159,6 +161,8 @@ def _config_flags(path) -> list:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
+    if "config" in data:
+        raise ConfigError("a config file cannot name another config file (key 'config')")
     return [f"--{key.replace('_', '-')}="
             + (",".join(map(str, val)) if isinstance(val, list) else str(val))
             for key, val in data.items()]
@@ -340,20 +344,24 @@ def _add_common(sub):
 def _parser():
     ap = _Parser(
         prog="relsingosc",
+        allow_abbrev=False,
         description="Relativistic singular-oscillator model: spectra, wavefunctions, "
                     "and numerical verification of the model identities.",
     )
     subs = ap.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("spectrum", help="tabulate derived parameters and energies")
+    sp = subs.add_parser("spectrum", allow_abbrev=False,
+                         help="tabulate derived parameters and energies")
     _add_common(sp)
     sp.add_argument("--format", choices=("text", "json", "csv"))
 
-    ev = subs.add_parser("eval", help="tabulate radial wavefunction values as CSV")
+    ev = subs.add_parser("eval", allow_abbrev=False,
+                         help="tabulate radial wavefunction values as CSV")
     _add_common(ev)
     ev.add_argument("--grid", type=_grid_spec, help="rho grid as start:stop:count")
 
-    vf = subs.add_parser("verify", help="run verification checks and report")
+    vf = subs.add_parser("verify", allow_abbrev=False,
+                         help="run verification checks and report")
     _add_common(vf)
     vf.add_argument("--format", choices=("text", "json", "csv"))
     vf.add_argument("--checks", type=_check_ids,

@@ -23,6 +23,12 @@ offsets and compose multiplies out (a b)_{tau+sigma}(rho) += a_tau(rho)
 b_sigma(rho + tau). Operators are immutable and evaluation is re-entrant;
 an image evaluates its argument once per call, on the stacked points
 rho + tau_j.
+
+A function's values may carry leading axes: f(rho) of shape lead +
+rho.shape holds one function per index of lead, a basis R_0..R_K say.
+Coefficients depend on rho only, so an image passes the leading axes
+through, and one application acts on every row at once; `powers` builds
+the rows f, A f, ..., A^top f in one evaluation.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ __all__ = [
     "identity_op",
     "op_sum",
     "compose",
+    "powers",
     "cosh_shift",
     "sinh_shift",
     "linear_combination",
@@ -65,7 +72,8 @@ class AnalyticFunction:
 
     The evaluator must accept complex scalars and numpy arrays of any shape
     alike and be finite everywhere in the strip except at declared isolated
-    points (typically on the imaginary axis, e.g. rho = 0 images).
+    points (typically on the imaginary axis, e.g. rho = 0 images). Its
+    values have shape lead + rho.shape, lead () for one function.
     """
 
     __slots__ = ("fn", "strip_halfwidth", "singular_points")
@@ -138,26 +146,39 @@ class LinearOperator:
         """The image rho -> sum_j c_j(rho) f(rho + tau_j).
 
         Evaluating the image calls f once, on the points rho + tau_j
-        stacked along a new leading axis.
+        stacked along a new axis; leading axes of f's values pass through.
         """
         f = _as_function(f)
-        if f.strip_halfwidth + _BUDGET_SLACK < self.shift_budget:
-            raise StripExhaustedError(
-                f"operator needs strip {self.shift_budget}, function provides "
-                f"{f.strip_halfwidth}"
-            )
+        _check_budget(f, self.shift_budget)
         taus = np.asarray(self.offsets)
         coefficients, points, inner = self.coefficients, self.singular_points, f.fn
 
         def ev(z):
             zz = np.asarray(z, dtype=complex)
             _check_singular(zz, points)
-            values = np.asarray(inner(_stack(zz, taus)))
+            values = _offsets_first(inner(_stack(zz, taus)), zz.ndim)
             out = np.einsum("j...,j...->...", coefficients(zz), values)
             return out if zz.ndim else out[()]
 
         strip = max(f.strip_halfwidth - self.shift_budget, 0.0)
         return AnalyticFunction(ev, strip, points + _moved(f.singular_points, self.offsets))
+
+
+def _check_budget(f: AnalyticFunction, budget: float) -> None:
+    if f.strip_halfwidth + _BUDGET_SLACK < budget:
+        raise StripExhaustedError(
+            f"operator needs strip {budget}, function provides {f.strip_halfwidth}"
+        )
+
+
+def _offsets_first(values, ndim: int) -> np.ndarray:
+    """f's values on stacked points, shape lead + (offsets,) + z.shape, with
+    the offset axis moved to the front; einsum broadcasts the coefficient
+    table, shape (offsets,) + z.shape, against the rest from the right."""
+    values = np.asarray(values)
+    if values.ndim > ndim + 1:
+        values = np.moveaxis(values, -ndim - 1, 0)
+    return values
 
 
 def _constant(taus, cs) -> LinearOperator:
@@ -178,7 +199,8 @@ def scale(c) -> LinearOperator:
 def multiply_by(factor: Callable, singular_points: tuple = ()) -> LinearOperator:
     """Multiplication by a coordinate function, singular at singular_points."""
     def coefficients(z):
-        return np.broadcast_to(np.asarray(factor(z), dtype=complex), z.shape)[None]
+        c = np.asarray(factor(z), dtype=complex)
+        return (c if c.shape == z.shape else np.broadcast_to(c, z.shape))[None]
 
     return LinearOperator((0.0,), coefficients, tuple(singular_points))
 
@@ -194,24 +216,26 @@ def op_sum(*ops: LinearOperator) -> LinearOperator:
     def coefficients(z):
         tables = [op.coefficients(z) for op in ops]
         shape = np.broadcast_shapes(*(t.shape[1:] for t in tables))
-        return collect(np.concatenate([np.broadcast_to(t, t.shape[:1] + shape) for t in tables]))
+        return collect(np.concatenate([t if t.shape[1:] == shape else
+                                       np.broadcast_to(t, t.shape[:1] + shape) for t in tables]))
 
     return LinearOperator(offsets, coefficients, sum((op.singular_points for op in ops), ()))
 
 
-def _compose2(a: LinearOperator, b: LinearOperator) -> LinearOperator:
-    """a b as a stencil: (a b)_{tau+sigma}(rho) += a_tau(rho) b_sigma(rho + tau)."""
+def _product(a: LinearOperator, b: LinearOperator) -> tuple[LinearOperator, Callable]:
+    """a b as a stencil, (a b)_{tau+sigma}(rho) += a_tau(rho) b_sigma(rho + tau),
+    and the rule extend(ca, z) giving its table at z from a's table ca at z."""
     ka, kb = len(a.offsets), len(b.offsets)
     offsets, collect = _merge([ta + tb for ta in a.offsets for tb in b.offsets])
     taus = np.asarray(a.offsets)
 
-    def coefficients(z):
-        ca = a.coefficients(z)
+    def extend(ca, z):
         products = ca[:, None] * np.swapaxes(b.coefficients(_stack(z, taus)), 0, 1)
         return collect(products.reshape((ka * kb,) + products.shape[2:]))
 
-    return LinearOperator(offsets, coefficients,
-                          a.singular_points + _moved(b.singular_points, a.offsets))
+    ab = LinearOperator(offsets, lambda z: extend(a.coefficients(z), z),
+                        a.singular_points + _moved(b.singular_points, a.offsets))
+    return ab, extend
 
 
 def compose(*ops: LinearOperator) -> LinearOperator:
@@ -224,7 +248,48 @@ def compose(*ops: LinearOperator) -> LinearOperator:
     coefficient evaluations per point; with the composite on the right it
     would cost k^n.
     """
-    return reduce(_compose2, ops)
+    return reduce(lambda a, b: _product(a, b)[0], ops)
+
+
+def powers(op: LinearOperator, top: int, f: AnalyticFunction) -> AnalyticFunction:
+    """The rows f, op f, ..., op^top f, stacked on a new leading axis.
+
+    op^n is the left-folded product of compose, and one evaluation builds
+    the tables of op^1..op^top in turn, each from the one before, so it
+    costs what the table of op^top alone costs. f is read once, on every
+    offset of the powers stacked together, and leading axes of its values
+    go after the power axis.
+    """
+    if top < 0 or top != int(top):
+        raise ValueError("top must be a non-negative integer")
+    top = int(top)
+    f = _as_function(f)
+    chains, rules = [op][:top], []
+    while len(chains) < top:
+        chain, extend = _product(chains[-1], op)
+        chains.append(chain)
+        rules.append(extend)
+    offsets = tuple(dict.fromkeys((0j,) + sum((c.offsets for c in chains), ())))
+    budget = max(abs(t.imag) for t in offsets)
+    _check_budget(f, budget)
+    index = {t: i for i, t in enumerate(offsets)}
+    rows = [np.array([index[t] for t in c.offsets]) for c in chains]
+    taus = np.asarray(offsets)
+    points = chains[-1].singular_points if chains else ()
+    inner = f.fn
+
+    def ev(z):
+        zz = np.asarray(z, dtype=complex)
+        _check_singular(zz, points)
+        values = _offsets_first(inner(_stack(zz, taus)), zz.ndim)
+        tables = [op.coefficients(zz)] if chains else []
+        for extend in rules:
+            tables.append(extend(tables[-1], zz))
+        return np.stack([values[0]] + [np.einsum("j...,j...->...", t, values[r])
+                                       for t, r in zip(tables, rows)])
+
+    strip = max(f.strip_halfwidth - budget, 0.0)
+    return AnalyticFunction(ev, strip, points + _moved(f.singular_points, offsets))
 
 
 def cosh_shift(step: float = 1.0) -> LinearOperator:

@@ -42,12 +42,14 @@ __all__ = [
     "ModelParams",
     "DerivedParams",
     "RadialState",
+    "RadialBasis",
     "InvalidParametersError",
     "derive_params",
     "energy",
     "nonrel_energy",
     "wavefunction_profile",
     "radial_wavefunction",
+    "radial_basis",
     "norm_constant",
     "state_decay_hint",
     "quasipotential_op",
@@ -188,6 +190,18 @@ class RadialState:
         return self.fn(rho)
 
 
+def _envelope(p: ModelParams, d: DerivedParams):
+    """The n-independent factor (-rho)^(alpha) omega0^(i rho) Gamma(nu + i rho)
+    of every eigenfunction, as a function of complex rho."""
+    alpha, nu, log_om0 = d.alpha, d.nu, np.log(p.omega0)
+
+    def ev(r):
+        degree = specfun.generalized_degree(-r, alpha)
+        return degree * np.exp(specfun.log_gamma(nu + 1j * r) + 1j * r * log_om0)
+
+    return ev
+
+
 def wavefunction_profile(p: ModelParams, n: int, d: DerivedParams | None = None) -> AnalyticFunction:
     """Unnormalized eigenfunction profile
 
@@ -202,14 +216,11 @@ def wavefunction_profile(p: ModelParams, n: int, d: DerivedParams | None = None)
     if n < 0 or n != int(n):
         raise ValueError("radial quantum number n must be a non-negative integer")
     d = d or derive_params(p)
-    alpha, nu, log_om0 = d.alpha, d.nu, np.log(p.omega0)
-    cdh = d.cdh
+    envelope, cdh = _envelope(p, d), d.cdh
 
     def ev(rho):
         r = np.asarray(rho, dtype=complex)
-        degree = specfun.generalized_degree(-r, alpha)
-        rest = np.exp(specfun.log_gamma(nu + 1j * r) + 1j * r * log_om0)
-        out = degree * rest * specfun.cdh_poly(n, r ** 2, cdh)
+        out = envelope(r) * specfun.cdh_poly(n, r ** 2, cdh)
         return out if np.ndim(rho) else complex(out)
 
     return AnalyticFunction(ev, STATE_STRIP_HALFWIDTH)
@@ -241,6 +252,45 @@ def radial_wavefunction(p: ModelParams, n: int) -> RadialState:
         params=p, derived=d, n=int(n), energy=energy(n, d, p.omega0), norm_const=c,
         fn=AnalyticFunction(lambda rho: c * profile.fn(rho), profile.strip_halfwidth,
                             profile.singular_points),
+    )
+
+
+@dataclass(frozen=True)
+class RadialBasis:
+    """The bound states R_0..R_top: fn(rho) holds R_n(rho) in row n of a new
+    leading axis, and energies[n], norm_consts[n] belong to row n."""
+
+    params: ModelParams
+    derived: DerivedParams
+    energies: np.ndarray
+    norm_consts: np.ndarray
+    fn: AnalyticFunction
+
+    @property
+    def top(self) -> int:
+        return len(self.energies) - 1
+
+
+def radial_basis(p: ModelParams, top: int) -> RadialBasis:
+    """R_0..R_top stacked: one evaluation computes the envelope once and every
+    S_n in one pass of the `cdh_polys` sum, so row n equals
+    radial_wavefunction(p, n).fn bit for bit. Raises for the first n whose
+    norm constant overflows, as radial_wavefunction(p, n) does."""
+    if top < 0 or top != int(top):
+        raise ValueError("top must be a non-negative integer")
+    top = int(top)
+    d = derive_params(p)
+    c = np.array([norm_constant(n, d) for n in range(top + 1)])
+    envelope, cdh = _envelope(p, d), d.cdh
+
+    def ev(rho):
+        r = np.asarray(rho, dtype=complex)
+        rows = envelope(r) * specfun.cdh_polys(top, r ** 2, cdh)
+        return c.reshape((-1,) + (1,) * r.ndim) * rows
+
+    return RadialBasis(
+        params=p, derived=d, energies=np.array([energy(n, d, p.omega0) for n in range(top + 1)]),
+        norm_consts=c, fn=AnalyticFunction(ev, STATE_STRIP_HALFWIDTH),
     )
 
 
@@ -317,10 +367,14 @@ def hamiltonian_radial_N(p: ModelParams) -> LinearOperator:
     )
 
 
-def eigen_residual(op: LinearOperator, state_fn: AnalyticFunction, e_value: float,
-                   points=RHO_SAMPLES) -> float:
-    """Max relative pointwise residual |(op f)(rho) - E f(rho)| / (|E f(rho)| + guard)."""
+def eigen_residual(op: LinearOperator, state_fn: AnalyticFunction, e_value,
+                   points=RHO_SAMPLES):
+    """Max relative pointwise residual |(op f)(rho) - E f(rho)| / (|E f(rho)| + guard)
+    over the points: a float for one state; for a function with leading axes
+    (a basis, with e_value one energy per row as shape (rows, 1)), one
+    residual per row."""
     pts = np.asarray(points, dtype=float)
     lhs = np.asarray(op.apply(state_fn)(pts))
     rhs = e_value * np.asarray(state_fn(pts))
-    return float(np.max(np.abs(lhs - rhs) / (np.abs(rhs) + _RESIDUAL_GUARD)))
+    out = np.max(np.abs(lhs - rhs) / (np.abs(rhs) + _RESIDUAL_GUARD), axis=-1)
+    return float(out) if out.ndim == 0 else out

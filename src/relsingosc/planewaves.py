@@ -88,7 +88,8 @@ def _angular_laplacian(N: int, chi: float, rho, theta, h: float):
 
 def free_hamiltonian_residual(pw: PlaneWaveParams, samples,
                               eigenvalue: float | None = None) -> float:
-    """Max relative residual of (H0 - E) xi over (rho, theta) samples.
+    """Max relative residual of (H0 - E) xi over (rho, theta) samples, all
+    evaluated at once.
 
     H0 in the spherical system:
 
@@ -102,19 +103,19 @@ def free_hamiltonian_residual(pw: PlaneWaveParams, samples,
     """
     N, chi = pw.N, pw.chi
     e_val = np.cosh(chi) if eigenvalue is None else eigenvalue
-    resids = []
-    for rho, theta in samples:
-        if not (THETA_WINDOW[0] <= theta <= THETA_WINDOW[1]):
-            raise ValueError(f"theta = {theta} outside the supported window {THETA_WINDOW}")
-        ct = np.cos(theta)
-        up = _xi(N, chi, rho + 1j, ct)
-        down = _xi(N, chi, rho - 1j, ct)
-        val = 0.5 * (up + down) + 1j * (N - 1) / (2.0 * rho) * 0.5 * (up - down)
-        lap = _angular_laplacian(N, chi, rho + 1j, theta, ANGLE_STEP)
-        val = val - lap / (rho * (2.0 * rho - 1j * (N - 3)))
-        ref = e_val * _xi(N, chi, rho, ct)
-        resids.append(abs(val - ref) / abs(ref))
-    return float(np.max(resids, initial=0.0))  # unlike the builtin max, keeps a nan
+    rho, theta = np.asarray(samples, dtype=float).reshape(-1, 2).T
+    outside = ~((THETA_WINDOW[0] <= theta) & (theta <= THETA_WINDOW[1]))
+    if outside.any():
+        raise ValueError(f"theta = {theta[outside][0]} outside the supported window "
+                         f"{THETA_WINDOW}")
+    ct = np.cos(theta)
+    up = _xi(N, chi, rho + 1j, ct)
+    down = _xi(N, chi, rho - 1j, ct)
+    val = 0.5 * (up + down) + 1j * (N - 1) / (2.0 * rho) * 0.5 * (up - down)
+    lap = _angular_laplacian(N, chi, rho + 1j, theta, ANGLE_STEP)
+    val = val - lap / (rho * (2.0 * rho - 1j * (N - 3)))
+    ref = e_val * _xi(N, chi, rho, ct)
+    return float(np.max(np.abs(val - ref) / np.abs(ref), initial=0.0))  # keeps a nan
 
 
 def weight_wN(rho, N: int):

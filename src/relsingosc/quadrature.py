@@ -190,14 +190,16 @@ def cdh_gauss_rule(M: int, p: CdhParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cdh_gram(fns, p: CdhParams, M: int) -> np.ndarray:
-    """G[i, j] = integral of conj(fns[i]) fns[j] over [0, inf) by the M-point
+    """G[i, j] = integral of conj(f_i) f_j over [0, inf) by the M-point
     Gauss-CDH rule: sum_k lambda_k conj(f_i) f_j (x_k) 2 pi / cdh_weight(x_k).
 
-    Exact when every conj(f_i) f_j / cdh_weight is a polynomial of degree
-    <= 2M - 1 in x^2, as for the radial states R_0..R_{M-1} at
-    (alpha, nu, 1/2); each function is evaluated at the M nodes only.
+    Each of fns is one function or a block of rows (values with leading
+    axes, a basis say); the f_i are all their rows in order. Exact when
+    every conj(f_i) f_j / cdh_weight is a polynomial of degree <= 2M - 1 in
+    x^2, as for the radial states R_0..R_{M-1} at (alpha, nu, 1/2); each
+    of fns is evaluated once, at the M nodes only.
     """
     x, log_lam = cdh_gauss_rule(M, p)
     weights = np.exp(log_lam + math.log(2.0 * math.pi) - np.log(cdh_weight(x, p)))
-    vals = np.array([np.asarray(f(x)) for f in fns], dtype=complex).reshape(len(fns), len(x))
+    vals = np.concatenate([np.asarray(f(x), dtype=complex).reshape(-1, len(x)) for f in fns])
     return (np.conj(vals) * weights) @ vals.T

@@ -26,6 +26,7 @@ __all__ = [
     "gamma_ratio",
     "generalized_degree",
     "cdh_poly",
+    "cdh_polys",
     "cdh_weight",
     "cdh_log_norm",
     "cdh_norm",
@@ -159,47 +160,75 @@ class CdhParams:
             )
 
 
-def cdh_poly(n: int, xsq, p: CdhParams) -> complex | np.ndarray:
-    """Continuous dual Hahn polynomial S_n(x^2; a, b, c) at x^2 = xsq.
-
-    Evaluated as the terminating hypergeometric sum
-
-        S_n = (a+b)_n (a+c)_n
-              * sum_k (-n)_k (a+ix)_k (a-ix)_k / [(a+b)_k (a+c)_k k!],
-
-    where (a+ix)_k (a-ix)_k = prod_j ((a+j)^2 + x^2) depends on x^2 only.
-    Ascending-k accumulation with Kahan compensation. For real xsq the
-    result is real up to rounding and is returned with the (tiny) imaginary
-    part truncated.
-    """
+def _check_degree(n) -> int:
     if n < 0 or n != int(n):
         raise ValueError("degree must be a non-negative integer")
     if n > MAX_CDH_DEGREE:
         raise DegreeLimitError(f"cdh_poly degree {n} exceeds limit {MAX_CDH_DEGREE}")
-    n = int(n)
-    x2 = _as_complex_array(xsq)
-    a, b, c = p.a, p.b, p.c
+    return int(n)
 
-    total = np.zeros_like(x2)
-    comp = np.zeros_like(x2)  # Kahan carry
-    term = np.ones_like(x2)
-    for k in range(n + 1):
+
+def _cdh_sums(lowest: int, top: int, x2: np.ndarray, p: CdhParams) -> np.ndarray:
+    """S_n(x^2; a, b, c) for n = lowest..top, stacked on a new leading axis.
+
+    Each degree is the terminating sum
+
+        S_n = (a+b)_n (a+c)_n
+              * sum_k (-n)_k (a+ix)_k (a-ix)_k / [(a+b)_k (a+c)_k k!],
+
+    with (a+ix)_k (a-ix)_k = prod_j ((a+j)^2 + x^2), accumulated in
+    ascending k with Kahan compensation. All degrees share the loop over k,
+    and the row of degree n is read off once its last term k = n is in, so
+    each row is the same floating-point computation for every `lowest` and
+    `top`.
+    """
+    a, b, c = p.a, p.b, p.c
+    # one degree keeps n a Python int: numpy multiplies it in as a scalar,
+    # where a column of degrees would be broadcast against x2
+    n = top if lowest == top else np.arange(lowest, top + 1, dtype=complex).reshape(
+        (-1,) + (1,) * x2.ndim)
+    total = np.zeros((top - lowest + 1,) + x2.shape, dtype=complex)
+    comp = np.zeros_like(total)  # Kahan carry
+    term = np.ones_like(total)
+    out = np.empty_like(total)
+    for k in range(top + 1):
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        term = term * ((-(n - k)) * ((a + k) ** 2 + x2)) / (
+        if k >= lowest:  # the last term of degree k is in
+            out[k - lowest] = total[k - lowest]
+        term = term * ((k - n) * ((a + k) ** 2 + x2)) / (
             (a + b + k) * (a + c + k) * (k + 1)
         )
-    pref = complex(pochhammer(a + b, n) * pochhammer(a + c, n))
-    total = pref * total
+    # (a+b)_n (a+c)_n as running products: the factors of pochhammer, in its order
+    steps = np.arange(top)
+    pref = (np.cumprod(np.concatenate(([1.0], a + b + steps)))
+            * np.cumprod(np.concatenate(([1.0], a + c + steps))))[lowest:]
+    return pref.reshape((-1,) + (1,) * x2.ndim) * out
 
+
+def cdh_poly(n: int, xsq, p: CdhParams) -> complex | np.ndarray:
+    """Continuous dual Hahn polynomial S_n(x^2; a, b, c) at x^2 = xsq.
+
+    Evaluated as the terminating hypergeometric sum of `cdh_polys`, for the
+    one degree n. For real xsq the result is real up to rounding and is
+    returned with the (tiny) imaginary part truncated.
+    """
+    n = _check_degree(n)
+    total = _cdh_sums(n, n, _as_complex_array(xsq), p)[0]
     if not np.iscomplexobj(np.asarray(xsq)):
         out = total.real
         if np.ndim(xsq) == 0:
             return float(out[()])
         return out
     return _restore(total, xsq)
+
+
+def cdh_polys(top: int, xsq, p: CdhParams) -> np.ndarray:
+    """S_0..S_top at x^2 = xsq, stacked on a new leading axis, as complex
+    values; row n equals cdh_poly(n, xsq, p) at complex xsq bit for bit."""
+    return _cdh_sums(0, _check_degree(top), _as_complex_array(xsq), p)
 
 
 def cdh_weight(x, p: CdhParams) -> float | np.ndarray:

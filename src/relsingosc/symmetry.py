@@ -32,6 +32,7 @@ from .operators import (
     compose,
     multiply_by,
     op_sum,
+    powers,
     scale,
     shift,
     sinh_shift,
@@ -39,6 +40,7 @@ from .operators import (
 from .oscillator import (
     DerivedParams,
     ModelParams,
+    RadialBasis,
     RadialState,
     derive_params,
     energy,
@@ -61,6 +63,7 @@ __all__ = [
     "k_lower_pointwise",
     "casimir",
     "commutator_residual",
+    "generate_basis_via_ladder",
     "generate_state_via_ladder",
 ]
 
@@ -253,14 +256,18 @@ def commutator_residual(X: LinearOperator, Y: LinearOperator, rhs: LinearOperato
                         testfns, points) -> float:
     """Max relative pointwise residual of (XY - YX - rhs) over test functions.
 
-    The denominator is the largest of |XYf|, |YXf|, |rhs f| at each point
-    (plus an underflow guard), so [X, X] against rhs = 0 is exactly zero.
+    XY and YX are applied as composed stencils, so each reads its test
+    function once on the offsets of the product. The denominator is the
+    largest of |XYf|, |YXf|, |rhs f| at each point (plus an underflow
+    guard), so [X, X] against rhs = 0 is exactly zero. Test functions may
+    carry leading axes; every row counts.
     """
     pts = np.asarray(points, dtype=float)
+    XY, YX = compose(X, Y), compose(Y, X)
     resids = []
     for f in testfns:
-        xy = X.apply(Y.apply(f))(pts)
-        yx = Y.apply(X.apply(f))(pts)
+        xy = XY.apply(f)(pts)
+        yx = YX.apply(f)(pts)
         r = rhs.apply(f)(pts)
         num = np.abs(xy - yx - r)
         den = np.maximum(np.maximum(np.abs(xy), np.abs(yx)), np.abs(r)) + _GUARD
@@ -268,28 +275,51 @@ def commutator_residual(X: LinearOperator, Y: LinearOperator, rhs: LinearOperato
     return float(np.max(resids, initial=0.0))  # unlike the builtin max, keeps a nan
 
 
-def generate_state_via_ladder(p: ModelParams, n: int) -> RadialState:
-    """Build R_n = (K+)^n R_0 / (kappa_1 ... kappa_n) through the pointwise route.
+def generate_basis_via_ladder(p: ModelParams, top: int) -> RadialBasis:
+    """R_0..R_top built as R_n = (K+)^n R_0 / (kappa_1 ... kappa_n), stacked.
 
-    (K+)^n is the n-fold product of the raising operator with the spectral
-    scalars multiplied out, one stencil with at most 4n + 1 offsets, and it
-    is applied to R_0 once. The shift budget limits the pointwise route to
-    n <= MAX_RUNGS.
+    K+ is the raising operator A+ times the spectral scalar of each rung;
+    the scalars are multiplied onto the rows of `powers(A+, top, R_0)`, so
+    one evaluation reads R_0 once and builds the table of (A+)^n from that
+    of (A+)^(n-1). (A+)^n has at most 4n + 1 offsets, and the shift budget
+    limits the pointwise route to top <= MAX_RUNGS. Energies and norm
+    constants are those of the direct states, so a norm constant that
+    overflows raises here as it does there.
     """
-    if n < 0 or n != int(n):
-        raise ValueError("n must be a non-negative integer")
-    if n > MAX_RUNGS:
-        raise ValueError(f"pointwise ladder route supports n <= {MAX_RUNGS}, got {n}")
+    if top < 0 or top != int(top):
+        raise ValueError("top must be a non-negative integer")
+    if top > MAX_RUNGS:
+        raise ValueError(f"pointwise ladder route supports n <= {MAX_RUNGS}, got {top}")
+    top = int(top)
     ground = radial_wavefunction(p, 0)
-    if n == 0:
-        return ground
     d = ground.derived
     lc = LadderCoefficients.from_params(p, d)
-    pref = 1.0
-    for k in range(1, n + 1):
-        pref *= lc.spectral_scalar(k) / lc.kappa(k)
-    chain = compose(scale(pref), *[build_A_plus(p)] * n)
+    prefs = np.cumprod([1.0] + [lc.spectral_scalar(k) / lc.kappa(k) for k in range(1, top + 1)])
+    norm_consts = np.array([norm_constant(n, d) for n in range(top + 1)])
+    rungs = powers(build_A_plus(p), top, ground.fn)
+
+    def ev(z):
+        rows = rungs.fn(z)
+        return prefs.reshape((-1,) + (1,) * (rows.ndim - 1)) * rows
+
+    return RadialBasis(
+        params=p, derived=d, norm_consts=norm_consts,
+        energies=np.array([energy(n, d, p.omega0) for n in range(top + 1)]),
+        fn=AnalyticFunction(ev, rungs.strip_halfwidth, rungs.singular_points),
+    )
+
+
+def generate_state_via_ladder(p: ModelParams, n: int) -> RadialState:
+    """R_n = (K+)^n R_0 / (kappa_1 ... kappa_n): row n of
+    generate_basis_via_ladder(p, n)."""
+    if n < 0 or n != int(n):
+        raise ValueError("n must be a non-negative integer")
+    if n == 0:
+        return radial_wavefunction(p, 0)
+    basis = generate_basis_via_ladder(p, n)
+    fn = basis.fn
     return RadialState(
-        params=p, derived=d, n=int(n), energy=energy(n, d, p.omega0),
-        norm_const=norm_constant(n, d), fn=chain.apply(ground.fn),
+        params=p, derived=basis.derived, n=int(n), energy=float(basis.energies[n]),
+        norm_const=float(basis.norm_consts[n]),
+        fn=AnalyticFunction(lambda z: fn(z)[n], fn.strip_halfwidth, fn.singular_points),
     )

@@ -340,3 +340,20 @@ def test_console_script_exit_codes(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("N,l,n,")
     assert len(proc.stdout.splitlines()) == 2
+
+
+def test_flags_and_config_keys_are_never_abbreviated(tmp_path, capsys):
+    def with_config(data):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        return run(capsys, ["spectrum", "--config", str(path)])
+
+    for code, out, err in (
+        with_config({"om": [0.3]}),  # a prefix of --omega0
+        with_config({"config": str(tmp_path / "other.json")}),
+        run(capsys, ["spectrum", "--om", "0.3"] + VALID[:2]),
+        run(capsys, ["verify", "--n-ma", "2"] + VALID),
+    ):
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")

@@ -16,6 +16,7 @@ from relsingosc.operators import (
     linear_combination,
     multiply_by,
     op_sum,
+    powers,
     scale,
     shift,
     sinh_shift,
@@ -271,3 +272,59 @@ def test_shift_products_add_offsets(a, b):
     x = compose(shift(a), shift(b)).apply(_TEST_FN)(_PTS)
     y = shift(a + b).apply(_TEST_FN)(_PTS)
     assert np.max(np.abs(x - y) / np.abs(y)) <= 1e-12
+
+
+_ROW_OPS = {
+    "H": hamiltonian_reduced(P3),
+    "A+": symmetry.build_A_plus(P3),
+    "A-": symmetry.build_A_minus(P3),
+    "(A+)^4": compose(*[symmetry.build_A_plus(P3)] * 4),
+}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_ROW_OPS)),
+       st.lists(st.tuples(_numbers, _numbers), min_size=1, max_size=6),
+       st.sampled_from(((), (2,), (3, 1))),
+       st.lists(st.floats(0.2, 15.0), min_size=1, max_size=5))
+def test_leading_axes_pass_through_apply(name, rates, extra, pts):
+    # rows exp(a z) (1 + b z^2), stacked with leading shape (rows,) + extra:
+    # one application equals applying the operator to each row on its own
+    op = _ROW_OPS[name]
+    a = np.array([r[0] for r in rates]).reshape((-1,) + (1,) * len(extra))
+    b = np.array([r[1] for r in rates]).reshape(a.shape)
+    a, b = np.broadcast_to(a, a.shape[:1] + extra), np.broadcast_to(b, a.shape[:1] + extra)
+    lead = a.shape
+
+    def rows(z):
+        zz = np.asarray(z)[(None,) * len(lead)]
+        return np.exp(a.reshape(lead + (1,) * np.ndim(z)) * zz) * (
+            1 + b.reshape(lead + (1,) * np.ndim(z)) * zz ** 2)
+
+    pts = np.asarray(pts)
+    stacked = op.apply(entire(rows))(pts)
+    assert stacked.shape == lead + pts.shape
+    for idx in np.ndindex(*lead):
+        one = op.apply(entire(lambda z, i=idx: rows(z)[i]))(pts)
+        np.testing.assert_array_equal(stacked[idx], one)
+
+
+def test_powers_are_the_compose_chains_from_one_read():
+    Ap = symmetry.build_A_plus(P3)
+    r0 = symmetry.radial_wavefunction(P3, 0).fn
+    calls = []
+
+    def counted(z):
+        calls.append(np.shape(z))
+        return r0(z)
+
+    pts = np.asarray(RHO_SAMPLES)
+    rows = powers(Ap, 4, AnalyticFunction(counted, r0.strip_halfwidth))(pts)
+    assert rows.shape == (5, 7) and calls == [(17, 7)]
+    np.testing.assert_array_equal(rows[0], r0(pts))
+    for n in range(1, 5):
+        want = compose(*[Ap] * n).apply(r0)(pts)
+        assert np.max(np.abs(rows[n] - want)) <= 1e-13 * np.max(np.abs(want))
+    assert powers(Ap, 0, r0)(pts).shape == (1, 7)
+    with pytest.raises(StripExhaustedError):
+        powers(Ap, 3, AnalyticFunction(r0.fn, 5.0))

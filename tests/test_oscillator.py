@@ -265,3 +265,37 @@ def test_eigen_identity_low_dimensions():
         H = hamiltonian_reduced(p)
         st = radial_wavefunction(p, 1)
         assert eigen_residual(H, st.fn, st.energy) < 1e-9
+
+
+@pytest.mark.parametrize("point", [(3, 1, 0.2, 1.0), (2, 0, 0.05, 0.1), (8, 2, 0.05, 1.0)])
+def test_basis_rows_are_the_states_bit_for_bit(point):
+    p = ModelParams(*point)
+    basis = oscillator.radial_basis(p, 6)
+    real = np.asarray(RHO_SAMPLES)
+    shifted = real[None, :] + 1j * np.arange(-4, 5)[:, None]  # rho + i tau
+    for z in (real, shifted):
+        rows = basis.fn(z)
+        assert rows.shape == (7,) + z.shape
+        for n in range(7):
+            state = radial_wavefunction(p, n)
+            np.testing.assert_array_equal(rows[n], state.fn(z))
+            assert basis.energies[n] == state.energy and basis.norm_consts[n] == state.norm_const
+
+
+def test_basis_raises_for_the_first_overflowing_norm():
+    p = ModelParams(N=3, l=1, omega0=0.0107, g0=1.0)
+    assert oscillator.radial_basis(p, 2).top == 2
+    with pytest.raises(InvalidParametersError, match="h_3"):
+        oscillator.radial_basis(p, 5)
+
+
+def test_eigen_residual_of_a_basis_is_one_per_row():
+    p = ModelParams(N=3, l=1, omega0=0.2, g0=1.0)
+    basis = oscillator.radial_basis(p, 4)
+    H = hamiltonian_reduced(p)
+    rows = eigen_residual(H, basis.fn, basis.energies[:, None])
+    assert rows.shape == (5,)
+    for n in range(5):
+        st = radial_wavefunction(p, n)
+        assert rows[n] == pytest.approx(eigen_residual(H, st.fn, st.energy), rel=1e-6, abs=1e-15)
+    assert np.all(rows < 1e-11)

@@ -71,6 +71,16 @@ def test_theta_window_enforced():
     pw = PlaneWaveParams(chi=0.5)
     with pytest.raises(ValueError):
         free_hamiltonian_residual(pw, [(1.0, 0.05)])
+    with pytest.raises(ValueError, match="theta = 3.0"):
+        free_hamiltonian_residual(pw, SAMPLES + [(2.0, 3.0)])
+
+
+def test_residual_is_the_worst_sample():
+    # all samples are evaluated at once; each counts as on its own
+    pw = PlaneWaveParams(chi=0.5, N=5)
+    each = [free_hamiltonian_residual(pw, [s]) for s in SAMPLES]
+    assert free_hamiltonian_residual(pw, SAMPLES) == max(each)
+    assert free_hamiltonian_residual(pw, []) == 0.0
 
 
 def test_nonrel_plane_wave_limit():

@@ -252,41 +252,38 @@ def test_cdh_gauss_rule_needs_no_state_code(monkeypatch):
     assert np.sum(np.exp(log_lam)) == pytest.approx(specfun.cdh_norm(0, p), rel=1e-13)
 
 
-def _rebuilt(st, d, scale=1.0):
-    """The state st built again from derived parameters d, times scale."""
-    profile = wavefunction_profile(st.params, st.n, d)
-    c = norm_constant(st.n, d) * scale
-    return dataclasses.replace(st, norm_const=c, fn=AnalyticFunction(
-        lambda z: c * profile.fn(z), profile.strip_halfwidth))
+def _with_row(basis, n, row):
+    """basis with row n replaced by row(z, rows), rows its original values."""
+    def ev(z):
+        rows = np.array(basis.fn(z))
+        rows[n] = row(z, rows)
+        return rows
+
+    return dataclasses.replace(basis, fn=AnalyticFunction(ev, basis.fn.strip_halfwidth))
 
 
 class ScaledState(GridContext):
     """R_2 with its normalization constant multiplied by 1 + 1e-5."""
 
-    def state(self, n):
-        st = super().state(n)
-        return _rebuilt(st, self.derived, 1.0 + 1e-5) if n == 2 else st
+    def basis(self, top):
+        return _with_row(super().basis(top), 2, lambda z, rows: (1.0 + 1e-5) * rows[2])
 
 
 class ShiftedNu(GridContext):
     """R_2 built with nu perturbed by 1e-3."""
 
-    def state(self, n):
-        st = super().state(n)
-        if n != 2:
-            return st
-        return _rebuilt(st, dataclasses.replace(self.derived, nu=self.derived.nu + 1e-3))
+    def basis(self, top):
+        d = dataclasses.replace(self.derived, nu=self.derived.nu + 1e-3)
+        profile = wavefunction_profile(self.params, 2, d)
+        c = norm_constant(2, d)
+        return _with_row(super().basis(top), 2, lambda z, rows: c * profile.fn(z))
 
 
 class ScaledLadderState(GridContext):
     """The ladder-built R_3 multiplied by 1 + 1e-5."""
 
-    def ladder_state(self, n):
-        st = super().ladder_state(n)
-        if n != 3:
-            return st
-        return dataclasses.replace(st, fn=AnalyticFunction(
-            lambda z: (1.0 + 1e-5) * st.fn.fn(z), st.fn.strip_halfwidth))
+    def ladder_basis(self):
+        return _with_row(super().ladder_basis(), 3, lambda z, rows: (1.0 + 1e-5) * rows[3])
 
 
 @pytest.mark.parametrize("ctx_cls, cid", [

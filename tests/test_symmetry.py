@@ -32,6 +32,7 @@ from relsingosc.symmetry import (
     build_momentum,
     casimir,
     commutator_residual,
+    generate_basis_via_ladder,
     generate_state_via_ladder,
     k_lower_pointwise,
     k_raise_pointwise,
@@ -305,3 +306,16 @@ def test_f_energy_diagnostic():
     good = LadderCoefficients.from_params(P)
     assert all(good.f_energy(n) > 0 for n in range(10))
     assert good.kappa(0) == 0.0
+
+
+def test_ladder_basis_rows_are_the_ladder_states(states):
+    basis = generate_basis_via_ladder(P, 4)
+    rows = basis.fn(PTS)
+    assert rows.shape == (5, len(PTS))
+    np.testing.assert_array_equal(rows[0], states[0].fn(PTS))
+    for n in range(1, 5):
+        assert _rel(rows[n], generate_state_via_ladder(P, n).fn(PTS)) < 1e-13
+        assert _rel(rows[n], states[n].fn(PTS)) < 1e-7
+    assert list(basis.norm_consts) == [states[n].norm_const for n in range(5)]
+    with pytest.raises(ValueError):
+        generate_basis_via_ladder(P, 9)
