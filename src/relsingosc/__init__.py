@@ -28,7 +28,7 @@ from .operators import (
     StripExhaustedError,
     compose,
     cosh_shift,
-    linear_combination,
+    images,
     multiply_by,
     op_sum,
     powers,

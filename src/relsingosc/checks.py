@@ -24,6 +24,7 @@ from .operators import (
     AnalyticFunction,
     compose,
     identity_op,
+    images,
     op_sum,
     scale,
     taylor_limit_check,
@@ -302,14 +303,13 @@ def _pointwise_match(got, want, floor_scale: float) -> float:
 
 def check_ladder_action(ctx: GridContext) -> float:
     """Pointwise K+ R_n vs kappa_{n+1} R_{n+1} and K- R_n vs kappa_n R_{n-1},
-    n <= 4, with K+- the spectral scalars times one image of A+- each."""
+    n <= 4, with K+- the spectral scalars times the A+- images; the images
+    and the plain values come from one read of the basis."""
     lc = LadderCoefficients.from_params(ctx.params, ctx.derived)
     pts = np.asarray(ctx.rho_samples)
     top = min(4, ctx.n_max)
-    states = ctx.basis(top + 1).fn
-    vals = np.asarray(states(pts))
-    ups = np.asarray(ctx.op("A+").apply(states)(pts))
-    downs = np.asarray(ctx.op("A-").apply(states)(pts))
+    ups, downs, vals = images((ctx.op("A+"), ctx.op("A-"), identity_op()),
+                              ctx.basis(top + 1).fn)(pts)
     resids = []
     for n in range(top + 1):
         up = lc.spectral_scalar(n + 1) * ups[n]

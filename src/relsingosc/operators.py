@@ -27,8 +27,9 @@ rho + tau_j.
 A function's values may carry leading axes: f(rho) of shape lead +
 rho.shape holds one function per index of lead, a basis R_0..R_K say.
 Coefficients depend on rho only, so an image passes the leading axes
-through, and one application acts on every row at once; `powers` builds
-the rows f, A f, ..., A^top f in one evaluation.
+through, and one application acts on every row at once. `images` gives
+the images of several operators, and `powers` the rows f, A f, ...,
+A^top f, each from one read of f on the union of the offsets.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ __all__ = [
     "identity_op",
     "op_sum",
     "compose",
+    "images",
     "powers",
     "cosh_shift",
     "sinh_shift",
-    "linear_combination",
     "taylor_limit_check",
 ]
 
@@ -148,20 +149,9 @@ class LinearOperator:
         Evaluating the image calls f once, on the points rho + tau_j
         stacked along a new axis; leading axes of f's values pass through.
         """
-        f = _as_function(f)
-        _check_budget(f, self.shift_budget)
-        taus = np.asarray(self.offsets)
-        coefficients, points, inner = self.coefficients, self.singular_points, f.fn
-
-        def ev(z):
-            zz = np.asarray(z, dtype=complex)
-            _check_singular(zz, points)
-            values = _offsets_first(inner(_stack(zz, taus)), zz.ndim)
-            out = np.einsum("j...,j...->...", coefficients(zz), values)
-            return out if zz.ndim else out[()]
-
-        strip = max(f.strip_halfwidth - self.shift_budget, 0.0)
-        return AnalyticFunction(ev, strip, points + _moved(f.singular_points, self.offsets))
+        coefficients = self.coefficients
+        return _read_once(_as_function(f), [self.offsets], self.singular_points,
+                          lambda zz: [coefficients(zz)], _lone_row)
 
 
 def _check_budget(f: AnalyticFunction, budget: float) -> None:
@@ -179,6 +169,41 @@ def _offsets_first(values, ndim: int) -> np.ndarray:
     if values.ndim > ndim + 1:
         values = np.moveaxis(values, -ndim - 1, 0)
     return values
+
+
+def _lone_row(rows):
+    return rows[0]
+
+
+def _read_once(f: AnalyticFunction, offset_lists, points: tuple, tables: Callable,
+               finish: Callable) -> AnalyticFunction:
+    """The images sum_j t_j(rho) f(rho + tau_j) of several stencils, from one
+    read of f on the union of their offsets.
+
+    offset_lists[k] holds the offsets of stencil k and tables(z) returns its
+    coefficient tables in the same order; finish combines the list of
+    images (np.stack for a stacked result). The function must cover the
+    largest |Im tau| of the union, and evaluation at any of points raises.
+    """
+    offsets = tuple(dict.fromkeys(t for taus in offset_lists for t in taus))
+    budget = max(abs(t.imag) for t in offsets)
+    _check_budget(f, budget)
+    index = {t: i for i, t in enumerate(offsets)}
+    rows = [slice(None) if tuple(taus) == offsets else np.array([index[t] for t in taus])
+            for taus in offset_lists]
+    taus = np.asarray(offsets)
+    points = tuple(dict.fromkeys(points))
+    inner = f.fn
+
+    def ev(z):
+        zz = np.asarray(z, dtype=complex)
+        _check_singular(zz, points)
+        values = _offsets_first(inner(_stack(zz, taus)), zz.ndim)
+        out = finish([np.einsum("j...,j...->...", t, values[r]) for t, r in zip(tables(zz), rows)])
+        return out if zz.ndim else out[()]
+
+    strip = max(f.strip_halfwidth - budget, 0.0)
+    return AnalyticFunction(ev, strip, points + _moved(f.singular_points, offsets))
 
 
 def _constant(taus, cs) -> LinearOperator:
@@ -251,45 +276,55 @@ def compose(*ops: LinearOperator) -> LinearOperator:
     return reduce(lambda a, b: _product(a, b)[0], ops)
 
 
+def images(ops: Sequence[LinearOperator], f: AnalyticFunction) -> AnalyticFunction:
+    """The images op f of every op in ops, stacked on a new leading axis.
+
+    f is read once per evaluation, on the union of the operators' offsets,
+    and every row contracts its own coefficient table with those values,
+    so row k equals ops[k].apply(f) at rounding level; leading axes of f's
+    values go after the operator axis. The strip budget is the largest of
+    the operators', and evaluating at a singular point of any of them
+    raises, as apply does.
+    """
+    ops = tuple(ops)
+    if not ops:
+        raise ValueError("images needs at least one operator")
+    return _read_once(_as_function(f), [op.offsets for op in ops],
+                      sum((op.singular_points for op in ops), ()),
+                      lambda zz: [op.coefficients(zz) for op in ops], np.stack)
+
+
 def powers(op: LinearOperator, top: int, f: AnalyticFunction) -> AnalyticFunction:
     """The rows f, op f, ..., op^top f, stacked on a new leading axis.
 
     op^n is the left-folded product of compose, and one evaluation builds
     the tables of op^1..op^top in turn, each from the one before, so it
-    costs what the table of op^top alone costs. f is read once, on every
-    offset of the powers stacked together, and leading axes of its values
-    go after the power axis.
+    costs what the table of op^top alone costs. f is read once, as images
+    reads it, on every offset of the powers stacked together, and leading
+    axes of its values go after the power axis.
     """
     if top < 0 or top != int(top):
         raise ValueError("top must be a non-negative integer")
     top = int(top)
-    f = _as_function(f)
     chains, rules = [op][:top], []
     while len(chains) < top:
         chain, extend = _product(chains[-1], op)
         chains.append(chain)
         rules.append(extend)
-    offsets = tuple(dict.fromkeys((0j,) + sum((c.offsets for c in chains), ())))
-    budget = max(abs(t.imag) for t in offsets)
-    _check_budget(f, budget)
-    index = {t: i for i, t in enumerate(offsets)}
-    rows = [np.array([index[t] for t in c.offsets]) for c in chains]
-    taus = np.asarray(offsets)
-    points = chains[-1].singular_points if chains else ()
-    inner = f.fn
 
-    def ev(z):
-        zz = np.asarray(z, dtype=complex)
-        _check_singular(zz, points)
-        values = _offsets_first(inner(_stack(zz, taus)), zz.ndim)
-        tables = [op.coefficients(zz)] if chains else []
+    one = identity_op()
+
+    def tables(zz):
+        out = [one.coefficients(zz)]
+        if chains:
+            out.append(op.coefficients(zz))
         for extend in rules:
-            tables.append(extend(tables[-1], zz))
-        return np.stack([values[0]] + [np.einsum("j...,j...->...", t, values[r])
-                                       for t, r in zip(tables, rows)])
+            out.append(extend(out[-1], zz))
+        return out
 
-    strip = max(f.strip_halfwidth - budget, 0.0)
-    return AnalyticFunction(ev, strip, points + _moved(f.singular_points, offsets))
+    points = chains[-1].singular_points if chains else ()
+    return _read_once(_as_function(f), [(0j,)] + [c.offsets for c in chains], points,
+                      tables, np.stack)
 
 
 def cosh_shift(step: float = 1.0) -> LinearOperator:
@@ -300,24 +335,6 @@ def cosh_shift(step: float = 1.0) -> LinearOperator:
 def sinh_shift(step: float = 1.0) -> LinearOperator:
     """sinh(i step d/drho): f -> [f(rho + i step) - f(rho - i step)] / 2."""
     return _constant((1j * step, -1j * step), (0.5, -0.5))
-
-
-def linear_combination(coeffs, fns: Sequence[AnalyticFunction]) -> AnalyticFunction:
-    """Pointwise sum_i coeffs[i] * fns[i], carrying the tightest strip."""
-    coeffs = [complex(c) for c in coeffs]
-    fns = [_as_function(f) for f in fns]
-    if len(coeffs) != len(fns) or not fns:
-        raise ValueError("need matching, non-empty coefficient and function lists")
-    strip = min(f.strip_halfwidth for f in fns)
-    sing = sum((f.singular_points for f in fns), ())
-
-    def ev(z):
-        acc = coeffs[0] * fns[0].fn(z)
-        for c, f in zip(coeffs[1:], fns[1:]):
-            acc = acc + c * f.fn(z)
-        return acc
-
-    return AnalyticFunction(ev, strip, sing)
 
 
 def taylor_limit_check(f: Callable, second_derivative: Callable, lambda_bar: float,

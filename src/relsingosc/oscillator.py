@@ -31,6 +31,8 @@ from .operators import (
     LinearOperator,
     compose,
     cosh_shift,
+    identity_op,
+    images,
     multiply_by,
     op_sum,
     shift,
@@ -132,6 +134,9 @@ def derive_params(p: ModelParams) -> DerivedParams:
         alpha = 1/2 + sqrt(1 + (2/omega0^2)(1 - sqrt(D))) / 2
         nu    = 1/2 + sqrt(1 + (2/omega0^2)(1 + sqrt(D))) / 2
 
+    The alpha radicand is formed as 1 + 2(8 g0 + 4 L(L+1))/(1 + sqrt(D)),
+    the same number without the cancellation in 1 - sqrt(D), which would
+    cost about eps/omega0^2 of relative accuracy.
     Both square roots are taken real-positive; parameters where D < 0 or the
     alpha radicand goes negative (oscillatory collapse regime) are rejected
     with a diagnostic rather than continued into the complex plane.
@@ -145,7 +150,7 @@ def derive_params(p: ModelParams) -> DerivedParams:
             omega0=p.omega0, g0=p.g0, L=L,
         )
     sD = np.sqrt(D)
-    rad_alpha = 1.0 + (2.0 / w2) * (1.0 - sD)
+    rad_alpha = 1.0 + 2.0 * (8.0 * p.g0 + 4.0 * L * (L + 1.0)) / (1.0 + sD)
     rad_nu = 1.0 + (2.0 / w2) * (1.0 + sD)
     if rad_alpha < 0:
         raise InvalidParametersError(
@@ -372,9 +377,9 @@ def eigen_residual(op: LinearOperator, state_fn: AnalyticFunction, e_value,
     """Max relative pointwise residual |(op f)(rho) - E f(rho)| / (|E f(rho)| + guard)
     over the points: a float for one state; for a function with leading axes
     (a basis, with e_value one energy per row as shape (rows, 1)), one
-    residual per row."""
+    residual per row. The image and the values come from one read of f."""
     pts = np.asarray(points, dtype=float)
-    lhs = np.asarray(op.apply(state_fn)(pts))
-    rhs = e_value * np.asarray(state_fn(pts))
+    lhs, values = images((op, identity_op()), state_fn)(pts)
+    rhs = e_value * values
     out = np.max(np.abs(lhs - rhs) / (np.abs(rhs) + _RESIDUAL_GUARD), axis=-1)
     return float(out) if out.ndim == 0 else out

@@ -1,6 +1,14 @@
 """Dynamical symmetry layer: factorization operators, generalized momentum,
 ladder operators, and the su(1,1) realization they generate.
 
+The ladder operators are defined as A+- = (1/2 omega0)[(omega0 rho -+ iP)^2
+- (2 g0 + L(L+1))/(1 + rho^2)]. Multiplied out, each is a stencil with the
+five offsets 0, +-i, +-2i whose coefficients are rational in rho, written
+with u(rho) = 1 + omega0^2 rho(rho + i) + (2 g0 + L(L+1))/(rho(rho + i));
+`build_A_plus` and `build_A_minus` evaluate that closed form, and the
+literal construction of the definition stays as the reference they are
+checked against, as `momentum_commutator` is for `build_momentum`.
+
 The algebra is realized twice and the two must agree:
 
 * pointwise, by the finite-difference operators A+- acting on evaluable
@@ -30,6 +38,7 @@ from .operators import (
     AnalyticFunction,
     LinearOperator,
     compose,
+    images,
     multiply_by,
     op_sum,
     powers,
@@ -187,7 +196,9 @@ def momentum_commutator(p: ModelParams) -> LinearOperator:
 
 def _ladder_quadratic(p: ModelParams, inner_sign: float) -> LinearOperator:
     """(omega0 rho + inner_sign * i P)^2 - (2 g0 + L(L+1))/(1 + rho^2), as
-    a literal compose of sums (no manual simplification), over 2 omega0."""
+    a literal compose of sums (no manual simplification), over 2 omega0;
+    the reference that the closed forms of `build_A_plus` (inner_sign = -1)
+    and `build_A_minus` (+1) are checked against in the test suite."""
     P = build_momentum(p)
     B = op_sum(compose(scale(p.omega0), _rho_times()), compose(scale(inner_sign * 1j), P))
     well = 2.0 * p.g0 + p.L * (p.L + 1.0)
@@ -201,17 +212,55 @@ def _ladder_quadratic(p: ModelParams, inner_sign: float) -> LinearOperator:
     )
 
 
-def build_A_minus(p: ModelParams) -> LinearOperator:
-    """Lowering operator: (1/2 omega0)[(omega0 rho + iP)^2 - (2g0 + L(L+1))/(1+rho^2)].
+def _ladder(p: ModelParams, sign: float) -> LinearOperator:
+    """A+ (sign = +1) or A- (sign = -1): the five-offset stencil of
+    build_A_plus, one coefficient table evaluated in closed form."""
+    om0 = p.omega0
+    w2 = om0 * om0
+    well = 2.0 * p.g0 + p.L * (p.L + 1.0)
+    far = -1.0 / (8.0 * om0)
+    near = -0.25j * sign
 
-    Consumes two units of strip (the momentum operator is applied twice).
-    """
-    return _ladder_quadratic(p, +1.0)
+    def u(z):
+        r2 = z * (z + 1j)
+        return 1.0 + w2 * r2 + well / r2
+
+    def coefficients(z):
+        out = np.empty((5,) + z.shape, dtype=complex)
+        uz = u(z)
+        out[0] = far
+        out[1] = near * (2.0 * z - 1j)
+        out[2] = (3.0 * w2 * z * z + 1.0) / (4.0 * om0) - well / (4.0 * om0 * (1.0 + z * z))
+        out[3] = -near * (2.0 * z + 1j) * uz
+        out[4] = far * uz * u(z + 1j)
+        return out
+
+    return LinearOperator((-2j, -1j, 0j, 1j, 2j), coefficients, (0.0, 1j, -1j, -2j))
+
+
+def build_A_minus(p: ModelParams) -> LinearOperator:
+    """Lowering operator: (1/2 omega0)[(omega0 rho + iP)^2 - (2g0 + L(L+1))/(1+rho^2)],
+    the five-offset stencil of build_A_plus with the lower signs."""
+    return _ladder(p, -1.0)
 
 
 def build_A_plus(p: ModelParams) -> LinearOperator:
-    """Raising operator: (1/2 omega0)[(omega0 rho - iP)^2 - (2g0 + L(L+1))/(1+rho^2)]."""
-    return _ladder_quadratic(p, -1.0)
+    """Raising operator: (1/2 omega0)[(omega0 rho - iP)^2 - (2g0 + L(L+1))/(1+rho^2)].
+
+    Multiplied out, A+- is the five-offset stencil on {0, +-i, +-2i}
+    (upper sign A+, lower sign A-)
+
+        A+- = -1/(8 omega0) e^{-2i d} -+ i(2 rho - i)/4 e^{-i d}
+              + (3 omega0^2 rho^2 + 1)/(4 omega0) - w/(4 omega0 (1 + rho^2))
+              +- i(2 rho + i) u(rho)/4 e^{i d} - u(rho) u(rho + i)/(8 omega0) e^{2i d}
+
+    with w = 2 g0 + L(L+1) and u(rho) = 1 + omega0^2 rho(rho + i)
+    + w/(rho(rho + i)), and it is evaluated as that: one table of five
+    coefficients, no composite. The literal construction of the definition
+    (`_ladder_quadratic`) is the reference it is checked against. Consumes
+    two units of strip; singular at rho = 0, +-i and -2i.
+    """
+    return _ladder(p, +1.0)
 
 
 def su11_generators(p: ModelParams, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -256,19 +305,18 @@ def commutator_residual(X: LinearOperator, Y: LinearOperator, rhs: LinearOperato
                         testfns, points) -> float:
     """Max relative pointwise residual of (XY - YX - rhs) over test functions.
 
-    XY and YX are applied as composed stencils, so each reads its test
-    function once on the offsets of the product. The denominator is the
-    largest of |XYf|, |YXf|, |rhs f| at each point (plus an underflow
-    guard), so [X, X] against rhs = 0 is exactly zero. Test functions may
-    carry leading axes; every row counts.
+    XY and YX are applied as composed stencils, and the images XY f, YX f
+    and rhs f come from one read of each test function on the union of
+    their offsets (`images`). The denominator is the largest of |XYf|,
+    |YXf|, |rhs f| at each point (plus an underflow guard), so [X, X]
+    against rhs = 0 is exactly zero. Test functions may carry leading axes;
+    every row counts.
     """
     pts = np.asarray(points, dtype=float)
-    XY, YX = compose(X, Y), compose(Y, X)
+    ops = (compose(X, Y), compose(Y, X), rhs)
     resids = []
     for f in testfns:
-        xy = XY.apply(f)(pts)
-        yx = YX.apply(f)(pts)
-        r = rhs.apply(f)(pts)
+        xy, yx, r = images(ops, f)(pts)
         num = np.abs(xy - yx - r)
         den = np.maximum(np.maximum(np.abs(xy), np.abs(yx)), np.abs(r)) + _GUARD
         resids.append(np.max(num / den))

@@ -13,7 +13,7 @@ from relsingosc.operators import (
     compose,
     cosh_shift,
     identity_op,
-    linear_combination,
+    images,
     multiply_by,
     op_sum,
     powers,
@@ -88,7 +88,8 @@ def test_linearity_property():
     pts = RNG.uniform(-1.5, 1.5, 9)
     for op in ops:
         a, b = complex(*RNG.uniform(-2, 2, 2)), complex(*RNG.uniform(-2, 2, 2))
-        combo = linear_combination([a, b], [f, g])
+        # the superposition as a coefficient vector on the rows f, g
+        combo = entire(lambda z, c=np.array([a, b]): np.tensordot(c, np.stack([f(z), g(z)]), 1))
         lhs = op.apply(combo)(pts)
         rhs = a * op.apply(f)(pts) + b * op.apply(g)(pts)
         scale_ref = np.max(np.abs(rhs)) + 1e-30
@@ -328,3 +329,58 @@ def test_powers_are_the_compose_chains_from_one_read():
     assert powers(Ap, 0, r0)(pts).shape == (1, 7)
     with pytest.raises(StripExhaustedError):
         powers(Ap, 3, AnalyticFunction(r0.fn, 5.0))
+
+
+# --------------------------------------------------------------------------
+# images: several operators from one read
+# --------------------------------------------------------------------------
+
+_IMAGE_OPS = dict(_ROW_OPS, **{
+    "H A+": compose(hamiltonian_reduced(P3), symmetry.build_A_plus(P3)),
+    "A- H": compose(symmetry.build_A_minus(P3), hamiltonian_reduced(P3)),
+    "1": identity_op(),
+})
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(sorted(_IMAGE_OPS)), min_size=1, max_size=4),
+       st.sampled_from(((), (3,), (2, 2))),
+       st.lists(st.floats(0.2, 15.0), min_size=1, max_size=5))
+def test_images_are_the_applied_rows_from_one_read(names, lead, pts):
+    ops = [_IMAGE_OPS[n] for n in names]
+    a = np.linspace(-0.5, 0.5, int(np.prod(lead))).reshape(lead)
+    calls = []
+
+    def rows(z):
+        calls.append(np.shape(z))
+        zz = np.asarray(z)
+        return np.exp(a.reshape(lead + (1,) * zz.ndim) * zz) / (2.0 + zz ** 2)
+
+    f = AnalyticFunction(rows, 10.0)
+    pts = np.asarray(pts)
+    stacked = images(ops, f)(pts)
+    assert stacked.shape == (len(ops),) + lead + pts.shape
+    assert len(calls) == 1
+    for op, row in zip(ops, stacked):
+        want = op.apply(f)(pts)
+        assert np.max(np.abs(row - want)) <= 1e-14 * max(1.0, float(np.max(np.abs(want))))
+
+
+def test_images_keep_the_strip_and_singular_point_checks():
+    f = AnalyticFunction(lambda z: np.exp(-z ** 2), strip_halfwidth=1.0)
+    assert images([shift(0.5j), shift(-1j)], f).strip_halfwidth == pytest.approx(0.0)
+    with pytest.raises(StripExhaustedError):
+        shift(1.5j).apply(f)
+    with pytest.raises(StripExhaustedError):
+        images([shift(0.5j), shift(1.5j)], f)
+    inverse = multiply_by(lambda z: 1.0 / z, singular_points=(0.0,))
+    g = images([identity_op(), inverse], f)
+    assert g.singular_points == inverse.apply(f).singular_points
+    np.testing.assert_allclose(g(2.0), [f(2.0), f(2.0) / 2.0], rtol=1e-15)
+    for bad in (0.0, np.array([1.0, 0.0])):
+        with pytest.raises(SingularPointError):
+            inverse.apply(f)(bad)
+        with pytest.raises(SingularPointError):
+            g(bad)
+    with pytest.raises(ValueError):
+        images([], f)

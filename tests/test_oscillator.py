@@ -58,6 +58,18 @@ def test_derive_params_example_point():
     assert d.s == pytest.approx((EX3_ALPHA + EX3_NU) / 2, rel=1e-13)
 
 
+@pytest.mark.parametrize("omega0", [1e-4, 1e-3, 0.05, 0.2])
+def test_alpha_matches_50_digit_reference(omega0):
+    # 1 - sqrt(D) cancels as omega0 -> 0; the float alpha must not inherit it
+    mpmath = pytest.importorskip("mpmath")
+    p = ModelParams(N=3, l=1, omega0=omega0, g0=1.0)
+    with mpmath.workdps(50):
+        w2, L, g0 = mpmath.mpf(omega0) ** 2, mpmath.mpf(p.L), mpmath.mpf(p.g0)
+        D = 1 - 8 * g0 * w2 - 4 * w2 * L * (L + 1)
+        want = float(mpmath.mpf(1) / 2 + mpmath.sqrt(1 + (2 / w2) * (1 - mpmath.sqrt(D))) / 2)
+    assert abs(derive_params(p).alpha - want) <= 2 * np.spacing(want)
+
+
 def test_derive_params_rejects_collapse_regime():
     with pytest.raises(InvalidParametersError) as exc:
         derive_params(ModelParams(N=3, l=2, omega0=1.0, g0=1.0))

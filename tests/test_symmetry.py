@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from relsingosc import operators, symmetry
 from relsingosc.operators import (
     AnalyticFunction,
+    LinearOperator,
     compose,
     identity_op,
-    linear_combination,
     multiply_by,
     op_sum,
     scale,
@@ -18,6 +21,7 @@ from relsingosc.oscillator import (
     derive_params,
     eigen_residual,
     hamiltonian_reduced,
+    radial_basis,
     radial_wavefunction,
     state_decay_hint,
 )
@@ -59,6 +63,15 @@ def _rel(a, b):
     return float(np.max(np.abs(a - b)) / (np.max(np.abs(b)) + 1e-300))
 
 
+def _superpositions(coeffs) -> AnalyticFunction:
+    """One superposition of R_0, R_1, ... per row of coeffs: coefficient
+    vectors on the rows of the basis."""
+    c = np.array(coeffs)
+    rows = radial_basis(P, c.shape[1] - 1).fn
+    return AnalyticFunction(lambda z: np.tensordot(c, rows(z), 1),
+                            rows.strip_halfwidth, rows.singular_points)
+
+
 def test_factorization_reproduces_hamiltonian(states):
     sigma = D.alpha + D.nu
     fact = compose(scale(P.omega0), op_sum(
@@ -80,8 +93,8 @@ def test_ground_state_annihilation(states):
 
 def test_factorization_linearity(states):
     op = compose(build_a_plus(P), build_a_minus(P))
-    f = linear_combination([0.7, -0.2 + 0.1j], [states[0].fn, states[1].fn])
-    lhs = op.apply(f)(PTS)
+    f = _superpositions([(0.7, -0.2 + 0.1j)])
+    lhs = op.apply(f)(PTS)[0]
     rhs = (0.7 * np.asarray(op.apply(states[0].fn)(PTS))
            + (-0.2 + 0.1j) * np.asarray(op.apply(states[1].fn)(PTS)))
     scale_ref = np.max(np.abs(np.asarray(states[1].fn(PTS)))) + np.max(np.abs(rhs))
@@ -172,10 +185,7 @@ def test_intertwining_relation(states):
 def test_commutator_hamiltonian_ladder(states):
     H = hamiltonian_reduced(P)
     Ap, Am = build_A_plus(P), build_A_minus(P)
-    fns = [
-        linear_combination([1.0, 0.5, -0.25, 0.125], [states[n].fn for n in range(4)]),
-        linear_combination([0.3 + 0.4j, -0.7, 0.2j, 0.1], [states[n].fn for n in range(4)]),
-    ]
+    fns = [_superpositions([(1.0, 0.5, -0.25, 0.125), (0.3 + 0.4j, -0.7, 0.2j, 0.1)])]
     assert commutator_residual(H, Ap, compose(scale(2 * P.omega0), Ap), fns, PTS) < 1e-7
     assert commutator_residual(H, Am, compose(scale(-2 * P.omega0), Am), fns, PTS) < 1e-7
 
@@ -319,3 +329,143 @@ def test_ladder_basis_rows_are_the_ladder_states(states):
     assert list(basis.norm_consts) == [states[n].norm_const for n in range(5)]
     with pytest.raises(ValueError):
         generate_basis_via_ladder(P, 9)
+
+
+# --------------------------------------------------------------------------
+# closed-form A+- against the literal (omega0 rho -+ iP)^2 construction
+# --------------------------------------------------------------------------
+
+def _tables(op, z) -> dict:
+    """Offset -> coefficient row of op at the points z."""
+    table = np.broadcast_to(op.coefficients(z), (len(op.offsets),) + z.shape)
+    return dict(zip(op.offsets, table))
+
+
+def _table_mismatch(op, ref, z) -> float:
+    """Largest entrywise relative difference of two tables on the same offsets."""
+    got, want = _tables(op, z), _tables(ref, z)
+    assert set(got) == set(want)
+    return max(float(np.max(np.abs(got[t] - want[t])
+                            / (np.maximum(np.abs(got[t]), np.abs(want[t])) + 1e-300)))
+               for t in want)
+
+
+# the literal reference of each closed form: A+ is (omega0 rho - iP)^2, A- (omega0 rho + iP)^2
+_LADDERS = {"A+": (build_A_plus, -1.0), "A-": (build_A_minus, +1.0)}
+
+_strip_points = st.lists(
+    st.builds(complex, st.floats(-20.0, 20.0), st.floats(-3.0, 3.0)), min_size=1, max_size=8)
+
+
+@st.composite
+def _valid_params(draw):
+    """(N, l, omega0, g0) with a real spectrum: omega0 and g0 below the
+    values where the discriminant 1 - 8 g0 omega0^2 - 4 omega0^2 L(L+1) turns negative."""
+    N = draw(st.sampled_from((1, 2, 3, 5, 8)))
+    l = 0 if N == 1 else draw(st.integers(0, 3))
+    LL1 = (l + (N - 3) / 2) * (l + (N - 1) / 2)
+    omega0 = draw(st.floats(0.01, 0.99)) * (min(1.0, 0.5 / np.sqrt(LL1)) if LL1 > 0 else 1.0)
+    g0 = draw(st.floats(0.0, 0.99)) * min(3.0, (1 - 4 * omega0 ** 2 * LL1) / (8 * omega0 ** 2))
+    return ModelParams(N=N, l=l, omega0=omega0, g0=g0)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_LADDERS)), _valid_params(), _strip_points)
+def test_closed_form_ladders_are_the_literal_ones(name, p, zs):
+    derive_params(p)  # a valid point
+    build, inner_sign = _LADDERS[name]
+    closed, literal = build(p), symmetry._ladder_quadratic(p, inner_sign)
+    assert set(closed.offsets) == set(literal.offsets) == {0j, 1j, -1j, 2j, -2j}
+    assert set(closed.singular_points) == set(literal.singular_points) == {0, 1j, -1j, -2j}
+    z = np.array(zs)
+    assume(np.min(np.abs(z[:, None] - np.array([0, 1j, -1j, -2j]))) > 1e-2)
+    assert _table_mismatch(closed, literal, z) < 1e-12
+
+
+def test_closed_form_comparison_catches_a_wrong_coefficient():
+    # negative control: u(rho + i) replaced by u(rho) in c_{+2i}
+    Ap = build_A_plus(P)
+    well = 2 * P.g0 + D.L * (D.L + 1)
+
+    def u(z):
+        return 1 + P.omega0 ** 2 * z * (z + 1j) + well / (z * (z + 1j))
+
+    def wrong_table(z):
+        table = Ap.coefficients(z).copy()
+        table[Ap.offsets.index(2j)] = -u(z) ** 2 / (8 * P.omega0)
+        return table
+
+    wrong = LinearOperator(Ap.offsets, wrong_table, Ap.singular_points)
+    z = np.array([0.3 + 0.2j, 1.0, 2.5 - 1.0j, 7.0 + 0.5j])
+    assert _table_mismatch(Ap, symmetry._ladder_quadratic(P, -1.0), z) < 1e-12
+    assert _table_mismatch(wrong, symmetry._ladder_quadratic(P, -1.0), z) > 1e-2
+
+
+def test_closed_form_ladders_proved_exactly():
+    """The literal (omega0 rho -+ iP)^2 - w/(1 + rho^2), over 2 omega0,
+    multiplied out in exact arithmetic for symbolic couplings, is the
+    five-offset closed form of build_A_plus, offset by offset."""
+    sp = pytest.importorskip("sympy")
+    z = sp.Symbol("z")
+    w0, g0, L = sp.symbols("omega0 g0 L", positive=True)
+    I, half = sp.I, sp.Rational(1, 2)
+
+    def compose2(a, b):
+        out = {}
+        for ta, ca in a.items():
+            for tb, cb in b.items():
+                out[ta + tb] = out.get(ta + tb, 0) + ca * cb.subs(z, z + ta)
+        return out
+
+    def add(a, b):
+        return {t: a.get(t, 0) + b.get(t, 0) for t in set(a) | set(b)}
+
+    well = 2 * g0 + L * (L + 1)
+    M = w0 ** 2 * z * (z + I) / 2 + (g0 + L * (L + 1) / 2) / (z * (z + I))
+    momentum = {I: -(half + M), -I: half}  # P = -[sinh(i d) + M e^{i d}]
+
+    def u(x):
+        return 1 + w0 ** 2 * x * (x + I) + well / (x * (x + I))
+
+    for sign in (+1, -1):  # +1: A+ = (omega0 rho - iP)^2 ...
+        B = add({0: w0 * z}, {t: -sign * I * c for t, c in momentum.items()})
+        literal = {t: c / (2 * w0) for t, c in add(compose2(B, B), {0: -well / (1 + z ** 2)}).items()}
+        closed = {
+            -2 * I: -1 / (8 * w0),
+            -I: -sign * I * (2 * z - I) / 4,
+            0: (3 * w0 ** 2 * z ** 2 + 1) / (4 * w0) - well / (4 * w0 * (1 + z ** 2)),
+            I: sign * I * (2 * z + I) * u(z) / 4,
+            2 * I: -u(z) * u(z + I) / (8 * w0),
+        }
+        assert set(literal) == set(closed)
+        for t in closed:
+            assert sp.cancel(literal[t] - closed[t]) == 0, (sign, t)
+
+
+@pytest.mark.parametrize("point", [(3, 1, 0.1, 1.0), (2, 0, 0.05, 0.1), (5, 1, 0.05, 1.0),
+                                   (8, 1, 0.05, 1.0), (3, 0, 1.0, 0.1)])
+def test_hamiltonian_ladder_commutator_vanishes_on_the_tables(point):
+    # [H, A+-] -+ 2 omega0 A+- as one stencil: every coefficient is rounding
+    p = ModelParams(*point)
+    derive_params(p)  # a valid point
+    H = hamiltonian_reduced(p)
+    rng = np.random.default_rng(11)
+    z = rng.uniform(-15, 15, 40) + 1j * rng.uniform(-2, 2, 40)
+    for A, sign in ((build_A_plus(p), 1.0), (build_A_minus(p), -1.0)):
+        HA = compose(H, A)
+        residual = op_sum(HA, compose(scale(-1.0), A, H), compose(scale(-sign * 2 * p.omega0), A))
+        size = np.max(np.abs(np.asarray(HA.coefficients(z))), axis=0)
+        assert set(residual.offsets) == set(HA.offsets)
+        assert np.max(np.abs(residual.coefficients(z)) / size) < 1e-13
+
+
+def test_ladder_tables_build_no_composite(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("operators._product called")
+
+    monkeypatch.setattr(operators, "_product", refuse)
+    f = radial_wavefunction(P, 1).fn
+    for build in (build_A_plus, build_A_minus):
+        A = build(P)
+        assert A.coefficients(PTS.astype(complex)).shape == (5, len(PTS))
+        assert np.all(np.isfinite(A.apply(f)(PTS)))
