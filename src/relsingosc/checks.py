@@ -39,6 +39,7 @@ from .oscillator import (
     energy,
     hamiltonian_radial_N,
     hamiltonian_reduced,
+    image_residual,
     nonrel_energy,
     quasipotential_scaled,
     radial_basis,
@@ -138,6 +139,7 @@ class GridContext:
         self._ladder_basis: RadialBasis | None = None
         self._ops: dict[str, object] = {}
         self._gram: tuple[float, float] | None = None
+        self._h_image: np.ndarray | None = None
 
     def basis(self, top: int) -> RadialBasis:
         """R_0..R_top evaluated directly, stacked on a leading axis."""
@@ -182,6 +184,15 @@ class GridContext:
                           float(np.max(np.abs(G_next - G))))
         return self._gram
 
+    def h_rows(self, shift: float = 0.0) -> np.ndarray:
+        """The eigen-residual of H against E_n + shift, one per row of
+        basis(n_max), from the one (H R, R) pair at the samples cached here."""
+        basis = self.basis(self.n_max)
+        if self._h_image is None:
+            self._h_image = images((self.op("H"), identity_op()), basis.fn)(
+                np.asarray(self.rho_samples, dtype=float))
+        return image_residual(*self._h_image, (basis.energies + shift)[:, None])
+
     def energy_of(self, n: int) -> float:
         return energy(n, self.derived, self.params.omega0)
 
@@ -203,14 +214,14 @@ def _worst(residuals) -> float:
     return float(np.max(residuals, initial=0.0))
 
 
-def _eigen_rows(op, basis: RadialBasis, points, shift: float = 0.0):
-    """The eigen-residual of op against E_n + shift, one per row of basis,
-    from one image of the basis."""
-    return eigen_residual(op, basis.fn, (basis.energies + shift)[:, None], points)
+def _eigen_rows(op, basis: RadialBasis, points):
+    """The eigen-residual of op, one per row of basis, from one image of
+    the basis."""
+    return eigen_residual(op, basis.fn, basis.energies[:, None], points)
 
 
 def check_eigen_residual(ctx: GridContext) -> float:
-    return _worst(_eigen_rows(ctx.op("H"), ctx.basis(ctx.n_max), ctx.rho_samples))
+    return _worst(ctx.h_rows())
 
 
 def check_eigen_negative_control(ctx: GridContext) -> float:
@@ -218,8 +229,7 @@ def check_eigen_negative_control(ctx: GridContext) -> float:
 
     Reported residual is threshold/observed so that pass <=> residual <= 1.
     """
-    observed = _eigen_rows(ctx.op("H"), ctx.basis(ctx.n_max), ctx.rho_samples,
-                           0.1 * ctx.params.omega0)
+    observed = ctx.h_rows(0.1 * ctx.params.omega0)
     # np.min and np.maximum keep a nan, where the builtins would drop it
     return NEGATIVE_CONTROL_THRESHOLD / np.maximum(np.min(observed), _GUARD)
 
@@ -470,8 +480,8 @@ def check_cdh_norms() -> float:
 
     One vector integral per parameter triple, [S_n(x^2)^2 for n <= 4] times
     w(x) / 2 pi under the n = 4 envelope, each entry converged on its own.
-    It uses the `cdh_poly` sum and Legendre panels, so it is independent of
-    the recurrence behind the Gauss-CDH rule of the other norm checks.
+    It uses the real `cdh_poly` sum and Legendre panels, so it is independent
+    of the recurrence behind the Gauss-CDH rule of the other norm checks.
     """
     triples = (
         specfun.CdhParams(0.5, 0.5, 0.5),

@@ -21,8 +21,8 @@ key.
 
 Exit codes: 0 all checks passed (or tables emitted), 1 verification
 failures, 2 configuration/validation errors. Grid points outside the valid
-parameter regime are reported as skipped, never crash the run. The
-environment variable REL_SINGOSC_THREADS caps worker parallelism.
+parameter regime are reported as skipped, never crash the run. `verify`
+runs the grid points in order, in the calling thread.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+# unused: benchmarks/tracing.py patches it by name, in the tracer benchmarks/test_smoke.py installs
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -51,8 +51,6 @@ from .oscillator import (
 from .report import build_report
 
 __all__ = ["main", "RunConfig", "cmd_spectrum", "cmd_eval", "cmd_verify"]
-
-THREADS_ENV = "REL_SINGOSC_THREADS"
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -166,17 +164,6 @@ def _config_flags(path) -> list:
     return [f"--{key.replace('_', '-')}="
             + (",".join(map(str, val)) if isinstance(val, list) else str(val))
             for key, val in data.items()]
-
-
-def _thread_count() -> int:
-    cap = os.environ.get(THREADS_ENV)
-    n = os.cpu_count() or 1
-    if cap is not None:
-        try:
-            n = max(1, min(n, int(cap)))
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {cap!r}") from exc
-    return n
 
 
 def _grid_points(cfg: RunConfig):
@@ -300,21 +287,10 @@ def cmd_eval(cfg: RunConfig) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_verify(cfg: RunConfig) -> int:
-    points = _grid_points(cfg)
     outcomes = []
-    workers = _thread_count()
-    if workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for res in pool.map(
-                lambda pt: run_point(pt, cfg.checks, cfg.tolerances,
-                                     cfg.n_max, cfg.rho_samples),
-                points,
-            ):
-                outcomes.extend(res)
-    else:
-        for pt in points:
-            outcomes.extend(run_point(pt, cfg.checks, cfg.tolerances,
-                                      cfg.n_max, cfg.rho_samples))
+    for pt in _grid_points(cfg):
+        outcomes.extend(run_point(pt, cfg.checks, cfg.tolerances,
+                                  cfg.n_max, cfg.rho_samples))
     outcomes.extend(run_global(cfg.checks, cfg.tolerances))
 
     report = build_report(outcomes, cfg.echo())

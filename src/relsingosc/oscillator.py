@@ -59,6 +59,7 @@ __all__ = [
     "hamiltonian_reduced",
     "hamiltonian_radial_N",
     "eigen_residual",
+    "image_residual",
     "RHO_SAMPLES",
     "STATE_STRIP_HALFWIDTH",
 ]
@@ -379,7 +380,11 @@ def eigen_residual(op: LinearOperator, state_fn: AnalyticFunction, e_value,
     (a basis, with e_value one energy per row as shape (rows, 1)), one
     residual per row. The image and the values come from one read of f."""
     pts = np.asarray(points, dtype=float)
-    lhs, values = images((op, identity_op()), state_fn)(pts)
+    return image_residual(*images((op, identity_op()), state_fn)(pts), e_value)
+
+
+def image_residual(image, values, e_value):
+    """eigen_residual from op f and f already taken at the points (last axis)."""
     rhs = e_value * values
-    out = np.max(np.abs(lhs - rhs) / (np.abs(rhs) + _RESIDUAL_GUARD), axis=-1)
+    out = np.max(np.abs(image - rhs) / (np.abs(rhs) + _RESIDUAL_GUARD), axis=-1)
     return float(out) if out.ndim == 0 else out

@@ -24,6 +24,7 @@ Two independent rules live here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -89,10 +90,16 @@ def choose_rho_max(hint: DecayHint | None) -> float:
     return max(DEFAULT_RHO_MAX, math.ceil(rho + SAFETY_MARGIN))
 
 
+@functools.cache
+def _legendre_panel() -> tuple[np.ndarray, np.ndarray]:
+    """The NODES_PER_PANEL-point Legendre rule on [-1, 1], built on first use."""
+    return leggauss(NODES_PER_PANEL)
+
+
 def halfline_rule(rho_max: float, panels_per_unit: int = 1) -> _Rule:
     """Composite Gauss-Legendre rule on [0, rho_max] with NODES_PER_PANEL
-    nodes per panel, as (nodes, weights)."""
-    x, w = leggauss(NODES_PER_PANEL)
+    nodes per panel, as (nodes, weights), all from one cached Legendre rule."""
+    x, w = _legendre_panel()
     n_panels = int(math.ceil(rho_max * panels_per_unit))
     width = rho_max / n_panels
     starts = width * np.arange(n_panels)

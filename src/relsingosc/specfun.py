@@ -177,17 +177,17 @@ def _cdh_sums(lowest: int, top: int, x2: np.ndarray, p: CdhParams) -> np.ndarray
               * sum_k (-n)_k (a+ix)_k (a-ix)_k / [(a+b)_k (a+c)_k k!],
 
     with (a+ix)_k (a-ix)_k = prod_j ((a+j)^2 + x^2), accumulated in
-    ascending k with Kahan compensation. All degrees share the loop over k,
-    and the row of degree n is read off once its last term k = n is in, so
-    each row is the same floating-point computation for every `lowest` and
-    `top`.
+    ascending k with Kahan compensation, in the dtype of x2 (float or
+    complex). All degrees share the loop over k, and the row of degree n is
+    read off once its last term k = n is in, so each row is the same
+    floating-point computation for every `lowest` and `top`.
     """
     a, b, c = p.a, p.b, p.c
     # one degree keeps n a Python int: numpy multiplies it in as a scalar,
     # where a column of degrees would be broadcast against x2
-    n = top if lowest == top else np.arange(lowest, top + 1, dtype=complex).reshape(
+    n = top if lowest == top else np.arange(lowest, top + 1, dtype=x2.dtype).reshape(
         (-1,) + (1,) * x2.ndim)
-    total = np.zeros((top - lowest + 1,) + x2.shape, dtype=complex)
+    total = np.zeros((top - lowest + 1,) + x2.shape, dtype=x2.dtype)
     comp = np.zeros_like(total)  # Kahan carry
     term = np.ones_like(total)
     out = np.empty_like(total)
@@ -208,21 +208,17 @@ def _cdh_sums(lowest: int, top: int, x2: np.ndarray, p: CdhParams) -> np.ndarray
     return pref.reshape((-1,) + (1,) * x2.ndim) * out
 
 
-def cdh_poly(n: int, xsq, p: CdhParams) -> complex | np.ndarray:
+def cdh_poly(n: int, xsq, p: CdhParams) -> float | complex | np.ndarray:
     """Continuous dual Hahn polynomial S_n(x^2; a, b, c) at x^2 = xsq.
 
     Evaluated as the terminating hypergeometric sum of `cdh_polys`, for the
-    one degree n. For real xsq the result is real up to rounding and is
-    returned with the (tiny) imaginary part truncated.
+    one degree n, in the arithmetic of xsq: real xsq gives a float (array)
+    computed in real arithmetic, complex xsq the complex row of `cdh_polys`.
     """
     n = _check_degree(n)
-    total = _cdh_sums(n, n, _as_complex_array(xsq), p)[0]
-    if not np.iscomplexobj(np.asarray(xsq)):
-        out = total.real
-        if np.ndim(xsq) == 0:
-            return float(out[()])
-        return out
-    return _restore(total, xsq)
+    x2 = np.asarray(xsq)
+    total = _cdh_sums(n, n, x2.astype(complex if np.iscomplexobj(x2) else float), p)[0]
+    return total if np.ndim(xsq) else total.item()
 
 
 def cdh_polys(top: int, xsq, p: CdhParams) -> np.ndarray:
@@ -235,16 +231,19 @@ def cdh_weight(x, p: CdhParams) -> float | np.ndarray:
     """Orthogonality weight |Gamma(a+ix) Gamma(b+ix) Gamma(c+ix) / Gamma(2ix)|^2.
 
     Defined for x > 0 and a, b, c > 0; strictly positive there and decaying
-    like a power of x times exp(-2 pi x)... fast enough that tail truncation
-    estimates based on that envelope are safe.
+    like a power of x times exp(-pi x), fast enough that tail truncation
+    estimates based on that envelope are safe. |Gamma(2ix)|^2 is the
+    reflection formula pi / (2x sinh 2 pi x), taken in logs.
     """
     p.require_positive()
     xx = np.asarray(x, dtype=float)
     if np.any(xx <= 0):
         raise ValueError("cdh_weight requires x > 0")
     z = 1j * xx
-    lg = _loggamma(p.a + z) + _loggamma(p.b + z) + _loggamma(p.c + z) - _loggamma(2 * z)
-    out = np.exp(2.0 * lg.real)
+    lg = (_loggamma(p.a + z) + _loggamma(p.b + z) + _loggamma(p.c + z)).real
+    # log |Gamma(2ix)|^2 = log(pi/x) - 2 pi x - log1p(-exp(-4 pi x))
+    log_den = np.log(np.pi / xx) - 2.0 * np.pi * xx - np.log1p(-np.exp(-4.0 * np.pi * xx))
+    out = np.exp(2.0 * lg - log_den)
     if np.ndim(x) == 0:
         return float(out[()])
     return out

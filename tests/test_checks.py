@@ -52,8 +52,9 @@ def test_point_evaluates_states_in_few_stacked_calls(monkeypatch):
     """One run_point reads its states through a handful of stacked
     evaluations (basis rows, or R_0 for the ladder and momentum routes),
     not one evaluation per state, superposition and ladder chain, and each
-    check reads its basis once for all of its images (14 reads; 24 when
-    every image read the basis on its own)."""
+    check reads its basis once for all of its images, and the H image of
+    the basis is taken once for both eigen checks (13 reads; 24 when every
+    image read the basis on its own)."""
     calls = []
 
     def counted(fn):
@@ -72,4 +73,4 @@ def test_point_evaluates_states_in_few_stacked_calls(monkeypatch):
     monkeypatch.setattr(checks, "radial_basis", counted_basis)
     outcomes = checks.run_point((3, 1, 0.2, 1.0), [c for c in CHECKS if CHECKS[c].scope == "grid"])
     assert all(o.passed for o in outcomes)
-    assert 0 < len(calls) <= 14
+    assert 0 < len(calls) <= 13

@@ -201,21 +201,21 @@ def test_verify_deterministic_reports(capsys):
     assert strip(d1) == strip(d2)
 
 
-def test_verify_thread_env_same_hash(capsys, monkeypatch):
+def test_verify_runs_points_in_the_calling_thread(capsys, monkeypatch):
+    # no pool is built, and the former thread-cap variable changes nothing
     argv = ["verify", "--dims", "3,5", "--l", "0", "--omega0", "0.2", "--g0", "0.1",
             "--checks", "eigen-residual,su11-ladder-bracket", "--format", "json"]
-    monkeypatch.setenv("REL_SINGOSC_THREADS", "1")
-    _, out1, _ = run(capsys, argv)
+    code, out1, _ = run(capsys, argv)
+    assert code == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("verify built a thread pool")
+
+    monkeypatch.setattr(relsingosc.cli, "ThreadPoolExecutor", no_pool)
     monkeypatch.setenv("REL_SINGOSC_THREADS", "4")
-    _, out2, _ = run(capsys, argv)
+    code, out2, _ = run(capsys, argv)
+    assert code == 0
     assert json.loads(out1)["canonical_hash"] == json.loads(out2)["canonical_hash"]
-
-
-def test_verify_bad_thread_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("REL_SINGOSC_THREADS", "many")
-    code, _, err = run(capsys, ["verify"] + VALID + ["--checks", "eigen-residual"])
-    assert code == 2
-    assert "REL_SINGOSC_THREADS" in err
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):

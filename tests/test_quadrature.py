@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -302,3 +303,52 @@ def test_gauss_checks_pass_on_true_states(ctx_cls, cid):
 ])
 def test_gauss_checks_see_perturbed_states(ctx_cls, cid):
     assert CHECKS[cid].runner(ctx_cls(GAUSS_P)) > CHECKS[cid].default_tol
+
+
+# --------------------------------------------------------------------------
+# inputs of the Legendre reference (cdh-norms)
+# --------------------------------------------------------------------------
+
+CDH_NORM_TRIPLES = RULE_TRIPLES[:3]
+
+
+@pytest.mark.parametrize("p", CDH_NORM_TRIPLES)
+def test_real_cdh_poly_is_float_and_matches_mpmath(p):
+    xs = np.linspace(0.05, 60.0, 41)
+    with mpmath.workdps(50):
+        for n in range(6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = specfun.cdh_poly(n, xs ** 2, p)
+            assert got.dtype == np.float64
+            want = np.array([float(_cdh_poly_mp(n, mpmath.mpf(float(x)) ** 2, p)) for x in xs])
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), n
+    assert isinstance(specfun.cdh_poly(3, 0.7, p), float)
+
+
+@pytest.mark.parametrize("p", CDH_NORM_TRIPLES)
+def test_cdh_weight_matches_mpmath(p):
+    xs = (1e-3, 0.05, 0.3, 1.0, 3.0, 10.0, 25.0, 50.0)
+    got = specfun.cdh_weight(np.array(xs), p)
+    with mpmath.workdps(50):
+        for x, w in zip(xs, got):
+            ix = 1j * mpmath.mpf(x)
+            want = abs(mpmath.gamma(p.a + ix) * mpmath.gamma(p.b + ix) * mpmath.gamma(p.c + ix)
+                       / mpmath.gamma(2 * ix)) ** 2
+            assert abs(w / float(want) - 1.0) <= 2e-13, x
+
+
+def test_legendre_panel_is_built_once(monkeypatch):
+    calls = []
+    build = quadrature.leggauss
+
+    def counting(deg):
+        calls.append(deg)
+        return build(deg)
+
+    quadrature._legendre_panel.cache_clear()
+    monkeypatch.setattr(quadrature, "leggauss", counting)
+    hint = DecayHint(power=0.0, rate=1.0)
+    integrate_halfline(lambda r: np.exp(-r), hint)
+    integrate_halfline(lambda r: r * np.exp(-r), hint)
+    assert len(calls) <= 1
