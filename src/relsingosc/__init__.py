@@ -12,14 +12,13 @@ numerically certifies every identity the model asserts.
 from .specfun import (
     CdhParams,
     cdh_log_norm,
+    cdh_log_weight,
     cdh_norm,
+    cdh_orthonormal,
     cdh_poly,
-    cdh_polys,
     cdh_weight,
     generalized_degree,
     log_gamma,
-    pochhammer,
-    reciprocal_gamma,
 )
 from .operators import (
     AnalyticFunction,

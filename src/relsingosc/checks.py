@@ -126,8 +126,12 @@ class GridContext:
     A check reads the states as rows of one basis, `basis(top)` = R_0..R_top,
     and applies each operator to all rows at once. Each check asks for the
     rows it reads (R_0..R_nmax, R_0..R_3 for the superpositions, one more
-    than the ladder rows for ladder-action), so a norm constant that
-    overflows beyond them does not turn it into an error.
+    than the ladder rows for ladder-action).
+
+    Each row is a polynomial from the recurrence that also builds the
+    Gauss-CDH rule, times an envelope, so `gram()` certifies the envelope;
+    `h_rows()` and `ladder_basis()` (which reads only R_0) certify the
+    polynomial part.
     """
 
     def __init__(self, params: ModelParams, n_max: int = 5, rho_samples=RHO_SAMPLES):
@@ -480,8 +484,8 @@ def check_cdh_norms() -> float:
 
     One vector integral per parameter triple, [S_n(x^2)^2 for n <= 4] times
     w(x) / 2 pi under the n = 4 envelope, each entry converged on its own.
-    It uses the real `cdh_poly` sum and Legendre panels, so it is independent
-    of the recurrence behind the Gauss-CDH rule of the other norm checks.
+    It uses the real `cdh_poly` sum and Legendre panels, so it certifies h_n
+    independently of the recurrence behind the states and the Gauss-CDH rule.
     """
     triples = (
         specfun.CdhParams(0.5, 0.5, 0.5),
@@ -528,13 +532,14 @@ def _global(check_id, tol, runner, description):
 
 CHECKS: dict[str, CheckDef] = {c.check_id: c for c in [
     _grid("eigen-residual", 1e-9, check_eigen_residual,
-          "H R_n = E_n R_n pointwise, n <= n_max"),
+          "H R_n = E_n R_n pointwise, n <= n_max (certifies the polynomial part)"),
     _grid("eigen-negative-control", 1.0, check_eigen_negative_control,
           "perturbing E by 0.1 omega0 must raise the residual above 1e-3 "
           "(reports threshold/observed)"),
     _grid("orthonormality", 1e-6, check_orthonormality,
           "Gram matrix of R_0..R_nmax vs identity (Gauss-CDH rule with n_max+1 "
-          "nodes, exact for the true states)"),
+          "nodes, exact for the true states; certifies the envelope against the "
+          "CDH weight and h_0)"),
     _grid("orthonormality-quadrature-error", 1e-8, check_orthonormality_quadrature_error,
           "change of that Gram matrix under one more Gauss-CDH node"),
     _grid("factorization", 1e-8, check_factorization,
@@ -550,7 +555,8 @@ CHECKS: dict[str, CheckDef] = {c.check_id: c for c in [
     _grid("ladder-action", 1e-7, check_ladder_action,
           "pointwise K+- R_n vs kappa R_{n+-1}, n <= 4"),
     _grid("state-generation", 1e-7, check_state_generation,
-          "ladder-generated R_n matches direct evaluation pointwise, n <= 4"),
+          "ladder-generated R_n matches direct evaluation pointwise, n <= 4 "
+          "(certifies the polynomial part: the ladder reads only R_0)"),
     _grid("state-generation-norm", 1e-6, check_state_generation_norm,
           "ladder-generated R_n has unit norm by the Gauss-CDH rule, n <= 4"),
     _grid("reduction-chain", 1e-8, check_reduction_chain,
@@ -572,7 +578,8 @@ CHECKS: dict[str, CheckDef] = {c.check_id: c for c in [
     _global("gamma-identities", 1e-11, check_gamma_identities,
             "gamma functional equation and reflection formula at random points"),
     _global("cdh-norms", 1e-8, check_cdh_norms,
-            "closed-form polynomial norms vs quadrature, n <= 4"),
+            "closed-form polynomial norms h_n vs Gauss-Legendre quadrature of the "
+            "float cdh_poly sum, n <= 4 (independent of the recurrence)"),
     _global("reduction-weight-identity", 1e-12, check_reduction_weight_identity,
             "w_3 = 1 and |multiplier|^2 w_N rho^(N-1) = 1"),
 ]}

@@ -21,6 +21,8 @@ is E_n = omega0 (2n + alpha + nu).
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +51,6 @@ __all__ = [
     "derive_params",
     "energy",
     "nonrel_energy",
-    "wavefunction_profile",
     "radial_wavefunction",
     "radial_basis",
     "norm_constant",
@@ -73,8 +74,9 @@ RHO_SAMPLES = (0.3, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 STATE_STRIP_HALFWIDTH = 18.0
 
 _RESIDUAL_GUARD = 1e-300
+_LN2 = math.log(2.0)
 # exp(x) is a finite float exactly when x <= log(DBL_MAX)
-_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class InvalidParametersError(ValueError):
@@ -121,7 +123,7 @@ class DerivedParams:
     s: float
     D: float
 
-    @property
+    @functools.cached_property
     def cdh(self) -> specfun.CdhParams:
         """The continuous dual Hahn triple (alpha, nu, 1/2) of the radial states."""
         return specfun.CdhParams(self.alpha, self.nu, 0.5)
@@ -196,40 +198,29 @@ class RadialState:
         return self.fn(rho)
 
 
-def _envelope(p: ModelParams, d: DerivedParams):
-    """The n-independent factor (-rho)^(alpha) omega0^(i rho) Gamma(nu + i rho)
-    of every eigenfunction, as a function of complex rho."""
-    alpha, nu, log_om0 = d.alpha, d.nu, np.log(p.omega0)
+def _state_rows(p: ModelParams, d: DerivedParams, lowest: int, top: int):
+    """Evaluator of R_lowest..R_top, stacked on a new leading axis:
 
-    def ev(r):
-        degree = specfun.generalized_degree(-r, alpha)
-        return degree * np.exp(specfun.log_gamma(nu + 1j * r) + 1j * r * log_om0)
+        R_n(rho) = sqrt(2) s_n(rho^2) E(rho),
+        E(rho) = (-rho)^(alpha) exp(ln Gamma(nu + i rho) + i rho ln omega0 - ln(h_0) / 2),
 
-    return ev
-
-
-def wavefunction_profile(p: ModelParams, n: int, d: DerivedParams | None = None) -> AnalyticFunction:
-    """Unnormalized eigenfunction profile
-
-        (-rho)^(alpha) * omega0^(i rho) * Gamma(nu + i rho) * S_n(rho^2; alpha, nu, 1/2)
-
-    evaluated through log-gamma differences so the gamma ratio stays finite
-    everywhere in the strip. The 1/Gamma(i rho) factor makes the profile
-    vanish at rho = 0 (and at rho = i k on the imaginary axis); the only
-    true poles sit at rho = i(alpha + k), i(nu + k), also on the imaginary
-    axis, so evaluation anywhere with Re rho != 0 is safe.
+    with s_n = S_n(rho^2; alpha, nu, 1/2) sqrt(h_0 / h_n) the rows of
+    `specfun.cdh_orthonormal`. The 1/Gamma(i rho) inside the generalized
+    degree makes every state vanish at rho = 0 (and at rho = i k); the
+    only true poles sit at rho = i(alpha + k), i(nu + k) on the imaginary
+    axis. Only h_0 enters, in logs, so no state overflows where h_n does.
     """
-    if n < 0 or n != int(n):
-        raise ValueError("radial quantum number n must be a non-negative integer")
-    d = d or derive_params(p)
-    envelope, cdh = _envelope(p, d), d.cdh
+    alpha, nu, cdh = d.alpha, d.nu, d.cdh
+    log_om0 = math.log(p.omega0)
+    log_scale = 0.5 * (_LN2 - specfun.cdh_log_norm(0, cdh))
 
     def ev(rho):
         r = np.asarray(rho, dtype=complex)
-        out = envelope(r) * specfun.cdh_poly(n, r ** 2, cdh)
-        return out if np.ndim(rho) else complex(out)
+        envelope = specfun.generalized_degree(-r, alpha) * np.exp(
+            specfun.log_gamma(nu + 1j * r) + 1j * r * log_om0 + log_scale)
+        return envelope * specfun.cdh_orthonormal(top, r ** 2, cdh, lowest)
 
-    return AnalyticFunction(ev, STATE_STRIP_HALFWIDTH)
+    return ev
 
 
 def state_decay_hint(d: DerivedParams, n_max: int) -> DecayHint:
@@ -238,26 +229,36 @@ def state_decay_hint(d: DerivedParams, n_max: int) -> DecayHint:
 
 
 def norm_constant(n: int, d: DerivedParams) -> float:
-    """C_n = sqrt(2/h_n), with h_n the continuous dual Hahn norm at (alpha, nu, 1/2);
-    raises where h_n overflows a float (nu >~ 100, omega0 <~ 0.01) instead of
-    returning 0."""
+    """C_n = sqrt(2/h_n), with h_n the continuous dual Hahn norm at (alpha, nu, 1/2),
+    so that R_n = C_n S_n(rho^2) E(rho) sqrt(h_0 / 2). It does not enter the
+    values of the states. Where h_n overflows a float it is formed from log h_n."""
     log_h = specfun.cdh_log_norm(n, d.cdh)
-    if not log_h <= _LOG_FLOAT_MAX:
-        raise InvalidParametersError(f"norm constant sqrt(2/h_{n}) is not finite and positive: "
-                                     f"h_{n} = exp({log_h:.6g}) overflows for "
-                                     f"alpha={d.alpha:.6g}, nu={d.nu:.6g}")
-    return float(np.sqrt(2.0 / np.exp(log_h)))
+    if log_h < _LOG_FLOAT_MAX:  # sqrt(2 / specfun.cdh_norm(n, d.cdh)), bit for bit
+        return math.sqrt(2.0 / math.exp(log_h))
+    return math.exp(0.5 * (_LN2 - log_h))
+
+
+def _check_degree(n) -> int:
+    if n < 0 or n != int(n):
+        raise ValueError("radial quantum number n must be a non-negative integer")
+    return int(n)
 
 
 def radial_wavefunction(p: ModelParams, n: int) -> RadialState:
-    """Unit-norm bound state norm_constant(n, d) * wavefunction_profile(p, n, d)."""
+    """The unit-norm bound state R_n: the recurrence of `radial_basis` run
+    to degree n, with the envelope multiplied into row n only, so its values
+    equal row n of radial_basis(p, top) bit for bit for every top >= n."""
+    n = _check_degree(n)
     d = derive_params(p)
-    profile = wavefunction_profile(p, n, d)
-    c = norm_constant(n, d)
+    rows = _state_rows(p, d, n, n)
+
+    def ev(rho):
+        out = rows(rho)[0]
+        return out if np.ndim(rho) else complex(out)
+
     return RadialState(
-        params=p, derived=d, n=int(n), energy=energy(n, d, p.omega0), norm_const=c,
-        fn=AnalyticFunction(lambda rho: c * profile.fn(rho), profile.strip_halfwidth,
-                            profile.singular_points),
+        params=p, derived=d, n=n, energy=energy(n, d, p.omega0), norm_const=norm_constant(n, d),
+        fn=AnalyticFunction(ev, STATE_STRIP_HALFWIDTH),
     )
 
 
@@ -278,25 +279,15 @@ class RadialBasis:
 
 
 def radial_basis(p: ModelParams, top: int) -> RadialBasis:
-    """R_0..R_top stacked: one evaluation computes the envelope once and every
-    S_n in one pass of the `cdh_polys` sum, so row n equals
-    radial_wavefunction(p, n).fn bit for bit. Raises for the first n whose
-    norm constant overflows, as radial_wavefunction(p, n) does."""
-    if top < 0 or top != int(top):
-        raise ValueError("top must be a non-negative integer")
-    top = int(top)
+    """R_0..R_top stacked: one evaluation computes the envelope once and
+    every row in one pass of the recurrence, so row n equals
+    radial_wavefunction(p, n).fn bit for bit."""
+    top = _check_degree(top)
     d = derive_params(p)
-    c = np.array([norm_constant(n, d) for n in range(top + 1)])
-    envelope, cdh = _envelope(p, d), d.cdh
-
-    def ev(rho):
-        r = np.asarray(rho, dtype=complex)
-        rows = envelope(r) * specfun.cdh_polys(top, r ** 2, cdh)
-        return c.reshape((-1,) + (1,) * r.ndim) * rows
-
     return RadialBasis(
         params=p, derived=d, energies=np.array([energy(n, d, p.omega0) for n in range(top + 1)]),
-        norm_consts=c, fn=AnalyticFunction(ev, STATE_STRIP_HALFWIDTH),
+        norm_consts=np.array([norm_constant(n, d) for n in range(top + 1)]),
+        fn=AnalyticFunction(_state_rows(p, d, 0, top), STATE_STRIP_HALFWIDTH),
     )
 
 

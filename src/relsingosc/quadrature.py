@@ -4,13 +4,16 @@ Two independent rules live here.
 
 * The Gauss rule of the continuous dual Hahn (CDH) weight
   (`cdh_gauss_rule`, `cdh_gram`). Every radial state is a CDH polynomial
-  S_n(rho^2; alpha, nu, 1/2) times the square root of that weight, so
-  conj(R_m) R_n divided by the weight is a polynomial of degree m + n in
-  rho^2, and the M-point rule integrates it exactly for m, n <= M - 1. The
-  rule is Golub-Welsch on the KLS 9.3 recurrence: it is built from the
-  recurrence coefficients, the closed-form norm h_0 and `cdh_weight` only,
-  never from `cdh_poly` or the states, so a wrong state cannot give an
-  identity Gram matrix by construction. The certificate checks use it.
+  at (alpha, nu, 1/2) times an envelope whose squared modulus is a
+  multiple of that weight, so conj(R_m) R_n / weight is a polynomial of
+  degree m + n in rho^2, integrated exactly by the M-point rule for
+  m, n <= M - 1. The
+  rule's weights come from the recurrence of the states
+  (`specfun.cdh_orthonormal`), so its discrete orthogonality makes the
+  polynomial part of a Gram matrix the identity for any Jacobi matrix: it
+  certifies the envelope against `cdh_weight` and h_0 (`orthonormality`).
+  `eigen-residual` and `state-generation` certify the polynomial part, and
+  `cdh-norms` the norms h_n through `cdh_poly` and the rule below.
 * Composite Gauss-Legendre panels on [0, rho_max] with one adaptive
   refinement loop (`integrate_halfline`, `gram_matrix`). The integrands in
   scope (polynomial-times-weight profiles, wavefunction products) are
@@ -32,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .specfun import CdhParams, cdh_log_norm, cdh_weight
+from .specfun import CdhParams, cdh_jacobi, cdh_log_norm, cdh_log_weight, cdh_orthonormal
 
 __all__ = [
     "DecayHint",
@@ -172,33 +175,28 @@ def cdh_gauss_rule(M: int, p: CdhParams) -> tuple[np.ndarray, np.ndarray]:
     """M-point Gauss rule of the continuous dual Hahn weight, as (x_k, log lambda_k).
 
     sum_k lambda_k g(x_k^2) equals the integral of g(x^2) cdh_weight(x, p) / (2 pi)
-    over x in [0, inf) for every polynomial g of degree <= 2M - 1
-    (Golub & Welsch, Math. Comp. 23, 1969). The y_k = x_k^2 are the
-    eigenvalues of the Jacobi matrix of the monic recurrence (KLS 9.3),
-
-        diagonal A_n + C_n - a^2,  off-diagonal sqrt(A_{n-1} C_n),
-        A_n = (n+a+b)(n+a+c),  C_n = n(n+b+c-1),
-
-    and lambda_k = h_0 v_{0k}^2 with v_k its unit eigenvectors. The weights
-    are returned as logs, so that h_0 may exceed a float.
+    over x in [0, inf) for every polynomial g of degree <= 2M - 1. The
+    y_k = x_k^2 are the eigenvalues of the Jacobi matrix (`specfun.cdh_jacobi`)
+    and lambda_k = h_0 / sum_{j<M} s_j(y_k)^2 the Christoffel numbers, with
+    s_j the rows of `specfun.cdh_orthonormal`: accurate relative to each
+    weight, where eigenvector (Golub-Welsch) weights are accurate only
+    relative to the largest (Gautschi, Orthogonal Polynomials (2004), 1.4).
+    The weights are returned as logs, so that h_0 may exceed a float.
     """
-    p.require_positive()
     if M < 1 or M != int(M):
         raise ValueError("number of Gauss nodes must be a positive integer")
-    a, b, c = p.a, p.b, p.c
-    n = np.arange(int(M), dtype=float)
-    A = (n + a + b) * (n + a + c)
-    C = n * (n + b + c - 1.0)
-    off = np.sqrt(A[:-1] * C[1:])
-    # dense eigh of an M x M matrix, M ~ n_max: scipy.linalg's tridiagonal
+    diag, off = cdh_jacobi(int(M), p)
+    # dense eigvalsh of an M x M matrix, M ~ n_max: scipy.linalg's tridiagonal
     # solver would cost its import (~6 MB resident) in every process
-    y, v = np.linalg.eigh(np.diag(A + C - a * a) + np.diag(off, 1) + np.diag(off, -1))
-    return np.sqrt(y), cdh_log_norm(0, p) + 2.0 * np.log(np.abs(v[0]))
+    y = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    s = cdh_orthonormal(int(M) - 1, y, p)
+    return np.sqrt(y), cdh_log_norm(0, p) - np.log(np.sum(s * s, axis=0))
 
 
 def cdh_gram(fns, p: CdhParams, M: int) -> np.ndarray:
     """G[i, j] = integral of conj(f_i) f_j over [0, inf) by the M-point
-    Gauss-CDH rule: sum_k lambda_k conj(f_i) f_j (x_k) 2 pi / cdh_weight(x_k).
+    Gauss-CDH rule: sum_k lambda_k conj(f_i) f_j (x_k) 2 pi / cdh_weight(x_k),
+    with the ratio lambda_k / cdh_weight(x_k) formed in logs.
 
     Each of fns is one function or a block of rows (values with leading
     axes, a basis say); the f_i are all their rows in order. Exact when
@@ -207,6 +205,6 @@ def cdh_gram(fns, p: CdhParams, M: int) -> np.ndarray:
     of fns is evaluated once, at the M nodes only.
     """
     x, log_lam = cdh_gauss_rule(M, p)
-    weights = np.exp(log_lam + math.log(2.0 * math.pi) - np.log(cdh_weight(x, p)))
+    weights = np.exp(log_lam + math.log(2.0 * math.pi) - cdh_log_weight(x, p))
     vals = np.concatenate([np.asarray(f(x), dtype=complex).reshape(-1, len(x)) for f in fns])
     return (np.conj(vals) * weights) @ vals.T

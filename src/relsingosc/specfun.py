@@ -4,29 +4,30 @@ degrees, and continuous dual Hahn polynomials.
 Everything here is pure and stateless. Functions accept complex scalars or
 numpy arrays and return the matching kind. Accuracy is the binding
 constraint (>= 12 significant digits on the verification domain), not
-speed; the gamma backends are scipy.special.loggamma / rgamma, which meet
+speed; the complex gamma backend is scipy.special.loggamma, which meets
 that bar, and all ratio-type quantities are computed in log space so that
 huge/tiny gamma values never overflow intermediate results.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma as _loggamma, rgamma as _rgamma
+from scipy.special import loggamma as _loggamma
 
 __all__ = [
     "CdhParams",
     "GammaPoleError",
     "DegreeLimitError",
     "log_gamma",
-    "reciprocal_gamma",
-    "pochhammer",
     "gamma_ratio",
     "generalized_degree",
     "cdh_poly",
-    "cdh_polys",
+    "cdh_jacobi",
+    "cdh_orthonormal",
+    "cdh_log_weight",
     "cdh_weight",
     "cdh_log_norm",
     "cdh_norm",
@@ -69,23 +70,6 @@ def log_gamma(z) -> complex | np.ndarray:
     if np.any(_nonpositive_integer_mask(zz)):
         raise GammaPoleError("log_gamma pole at non-positive integer argument")
     return _restore(np.asarray(_loggamma(zz)), z)
-
-
-def reciprocal_gamma(z) -> complex | np.ndarray:
-    """Entire function 1/Gamma(z); exactly 0 at non-positive integers."""
-    zz = _as_complex_array(z)
-    return _restore(np.asarray(_rgamma(zz)), z)
-
-
-def pochhammer(a, n: int) -> complex | np.ndarray:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
-    if n < 0 or n != int(n):
-        raise ValueError("pochhammer order must be a non-negative integer")
-    aa = _as_complex_array(a)
-    out = np.ones_like(aa)
-    for j in range(int(n)):
-        out = out * (aa + j)
-    return _restore(out, a)
 
 
 def gamma_ratio(z, delta) -> complex | np.ndarray:
@@ -168,73 +152,88 @@ def _check_degree(n) -> int:
     return int(n)
 
 
-def _cdh_sums(lowest: int, top: int, x2: np.ndarray, p: CdhParams) -> np.ndarray:
-    """S_n(x^2; a, b, c) for n = lowest..top, stacked on a new leading axis.
-
-    Each degree is the terminating sum
+def cdh_poly(n: int, xsq, p: CdhParams) -> float | complex | np.ndarray:
+    """Continuous dual Hahn polynomial S_n(x^2; a, b, c) at x^2 = xsq, as the
+    terminating hypergeometric sum
 
         S_n = (a+b)_n (a+c)_n
               * sum_k (-n)_k (a+ix)_k (a-ix)_k / [(a+b)_k (a+c)_k k!],
 
     with (a+ix)_k (a-ix)_k = prod_j ((a+j)^2 + x^2), accumulated in
-    ascending k with Kahan compensation, in the dtype of x2 (float or
-    complex). All degrees share the loop over k, and the row of degree n is
-    read off once its last term k = n is in, so each row is the same
-    floating-point computation for every `lowest` and `top`.
+    ascending k with Kahan compensation, in the arithmetic of xsq: real xsq
+    gives a float (array), complex xsq a complex one. The sum loses digits
+    to cancellation as n grows; the states use `cdh_orthonormal`, and this
+    sum is its independent reference (`cdh-norms` and the tests).
     """
+    n = _check_degree(n)
+    x2 = np.asarray(xsq)
+    x2 = x2.astype(complex if np.iscomplexobj(x2) else float)
     a, b, c = p.a, p.b, p.c
-    # one degree keeps n a Python int: numpy multiplies it in as a scalar,
-    # where a column of degrees would be broadcast against x2
-    n = top if lowest == top else np.arange(lowest, top + 1, dtype=x2.dtype).reshape(
-        (-1,) + (1,) * x2.ndim)
-    total = np.zeros((top - lowest + 1,) + x2.shape, dtype=x2.dtype)
-    comp = np.zeros_like(total)  # Kahan carry
-    term = np.ones_like(total)
-    out = np.empty_like(total)
-    for k in range(top + 1):
+    total = np.zeros_like(x2)
+    comp = np.zeros_like(x2)  # Kahan carry
+    term = np.ones_like(x2)
+    for k in range(n + 1):
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        if k >= lowest:  # the last term of degree k is in
-            out[k - lowest] = total[k - lowest]
         term = term * ((k - n) * ((a + k) ** 2 + x2)) / (
             (a + b + k) * (a + c + k) * (k + 1)
         )
-    # (a+b)_n (a+c)_n as running products: the factors of pochhammer, in its order
-    steps = np.arange(top)
-    pref = (np.cumprod(np.concatenate(([1.0], a + b + steps)))
-            * np.cumprod(np.concatenate(([1.0], a + c + steps))))[lowest:]
-    return pref.reshape((-1,) + (1,) * x2.ndim) * out
-
-
-def cdh_poly(n: int, xsq, p: CdhParams) -> float | complex | np.ndarray:
-    """Continuous dual Hahn polynomial S_n(x^2; a, b, c) at x^2 = xsq.
-
-    Evaluated as the terminating hypergeometric sum of `cdh_polys`, for the
-    one degree n, in the arithmetic of xsq: real xsq gives a float (array)
-    computed in real arithmetic, complex xsq the complex row of `cdh_polys`.
-    """
-    n = _check_degree(n)
-    x2 = np.asarray(xsq)
-    total = _cdh_sums(n, n, x2.astype(complex if np.iscomplexobj(x2) else float), p)[0]
+    total = math.prod((a + b + j) * (a + c + j) for j in range(n)) * total
     return total if np.ndim(xsq) else total.item()
 
 
-def cdh_polys(top: int, xsq, p: CdhParams) -> np.ndarray:
-    """S_0..S_top at x^2 = xsq, stacked on a new leading axis, as complex
-    values; row n equals cdh_poly(n, xsq, p) at complex xsq bit for bit."""
-    return _cdh_sums(0, _check_degree(top), _as_complex_array(xsq), p)
+def cdh_jacobi(M: int, p: CdhParams) -> tuple[list[float], list[float]]:
+    """Diagonal d_0..d_{M-1} and off-diagonal b_1..b_{M-1} of the Jacobi matrix
+    of the continuous dual Hahn polynomials in y = x^2 (KLS 9.3), as floats:
+    d_n = A_n + C_n - a^2 and b_n = sqrt(A_{n-1} C_n) = sqrt(h_n / h_{n-1}),
+    with A_n = (n+a+b)(n+a+c) and C_n = n(n+b+c-1)."""
+    p.require_positive()
+    a, b, c = p.a, p.b, p.c
+    diag, off = [], []
+    for n in range(int(M)):
+        A = (n + a + b) * (n + a + c)
+        diag.append(A + n * (n + b + c - 1.0) - a * a)
+        if n + 1 < M:
+            off.append(math.sqrt(A * (n + 1) * (n + b + c)))
+    return diag, off
 
 
-def cdh_weight(x, p: CdhParams) -> float | np.ndarray:
-    """Orthogonality weight |Gamma(a+ix) Gamma(b+ix) Gamma(c+ix) / Gamma(2ix)|^2.
+def cdh_orthonormal(top: int, xsq, p: CdhParams, lowest: int = 0) -> np.ndarray:
+    """Rows lowest..top of s_n(x^2) = S_n(x^2; a, b, c) sqrt(h_0 / h_n), stacked
+    on a new leading axis, in the arithmetic of xsq: s_0 = 1, and the
+    s_n / sqrt(h_0) are orthonormal under cdh_weight / (2 pi).
 
-    Defined for x > 0 and a, b, c > 0; strictly positive there and decaying
-    like a power of x times exp(-pi x), fast enough that tail truncation
-    estimates based on that envelope are safe. |Gamma(2ix)|^2 is the
-    reflection formula pi / (2x sinh 2 pi x), taken in logs.
+    Forward recurrence on `cdh_jacobi`, b_{n+1} s_{n+1} = (d_n - x^2) s_n
+    - b_n s_{n-1}: stable at real x^2 and at the shifted points where the
+    states are read, where the polynomials are the dominant solution (Gil,
+    Segura & Temme, Numerical Methods for Special Functions (2007), ch. 4).
+    Each row is the same floating-point computation for every `lowest`.
     """
+    if not (0 <= lowest <= top and top == int(top) and lowest == int(lowest)):
+        raise ValueError("degrees must be integers with 0 <= lowest <= top")
+    diag, off = cdh_jacobi(int(top) + 1, p)
+    y = np.asarray(xsq)
+    y = y.astype(complex if np.iscomplexobj(y) else float)
+    rows = []
+    prev, cur = None, np.ones_like(y)
+    for n in range(int(top) + 1):
+        if n >= lowest:
+            rows.append(cur)
+        if n < top:
+            nxt = (diag[n] - y) * cur
+            if n:
+                nxt -= off[n - 1] * prev
+            nxt *= 1.0 / off[n]  # a product: complex division costs ~6 times as much
+            prev, cur = cur, nxt
+    return rows[0][np.newaxis] if len(rows) == 1 else np.stack(rows)
+
+
+def cdh_log_weight(x, p: CdhParams) -> float | np.ndarray:
+    """log of the orthogonality weight |Gamma(a+ix) Gamma(b+ix) Gamma(c+ix) / Gamma(2ix)|^2
+    for x > 0 and a, b, c > 0, finite also where the weight over- or
+    underflows. |Gamma(2ix)|^2 is the reflection formula pi / (2x sinh 2 pi x)."""
     p.require_positive()
     xx = np.asarray(x, dtype=float)
     if np.any(xx <= 0):
@@ -243,10 +242,15 @@ def cdh_weight(x, p: CdhParams) -> float | np.ndarray:
     lg = (_loggamma(p.a + z) + _loggamma(p.b + z) + _loggamma(p.c + z)).real
     # log |Gamma(2ix)|^2 = log(pi/x) - 2 pi x - log1p(-exp(-4 pi x))
     log_den = np.log(np.pi / xx) - 2.0 * np.pi * xx - np.log1p(-np.exp(-4.0 * np.pi * xx))
-    out = np.exp(2.0 * lg - log_den)
-    if np.ndim(x) == 0:
-        return float(out[()])
-    return out
+    out = 2.0 * lg - log_den
+    return float(out[()]) if np.ndim(x) == 0 else out
+
+
+def cdh_weight(x, p: CdhParams) -> float | np.ndarray:
+    """Orthogonality weight exp(cdh_log_weight(x, p)): positive, decaying like a
+    power of x times exp(-pi x), so envelope-based tail truncation is safe."""
+    out = np.exp(cdh_log_weight(x, p))
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def cdh_log_norm(n: int, p: CdhParams) -> float:
@@ -262,15 +266,11 @@ def cdh_log_norm(n: int, p: CdhParams) -> float:
     if n < 0 or n != int(n):
         raise ValueError("order must be a non-negative integer")
     a, b, c = p.a, p.b, p.c
-    lg = (
-        _loggamma(n + a + b)
-        + _loggamma(n + a + c)
-        + _loggamma(n + b + c)
-        + _loggamma(n + 1.0)
-    )
-    return float(np.real(lg))
+    return (math.lgamma(n + a + b) + math.lgamma(n + a + c) + math.lgamma(n + b + c)
+            + math.lgamma(n + 1.0))
 
 
 def cdh_norm(n: int, p: CdhParams) -> float:
-    """Closed-form orthogonality norm h_n = exp(cdh_log_norm(n, p))."""
-    return float(np.exp(cdh_log_norm(n, p)))
+    """Closed-form orthogonality norm h_n = exp(cdh_log_norm(n, p)); raises
+    OverflowError where h_n exceeds the float range."""
+    return math.exp(cdh_log_norm(n, p))

@@ -331,8 +331,7 @@ def generate_basis_via_ladder(p: ModelParams, top: int) -> RadialBasis:
     one evaluation reads R_0 once and builds the table of (A+)^n from that
     of (A+)^(n-1). (A+)^n has at most 4n + 1 offsets, and the shift budget
     limits the pointwise route to top <= MAX_RUNGS. Energies and norm
-    constants are those of the direct states, so a norm constant that
-    overflows raises here as it does there.
+    constants are those of the direct states.
     """
     if top < 0 or top != int(top):
         raise ValueError("top must be a non-negative integer")

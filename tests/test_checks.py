@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from relsingosc import checks, oscillator
+from relsingosc import checks, oscillator, symmetry
 from relsingosc.checks import CHECKS, GridContext, _run_check
 from relsingosc.operators import AnalyticFunction
 from relsingosc.oscillator import ModelParams
@@ -63,14 +63,17 @@ def test_point_evaluates_states_in_few_stacked_calls(monkeypatch):
             return fn(z)
         return AnalyticFunction(ev, fn.strip_halfwidth, fn.singular_points)
 
-    profile, basis = oscillator.wavefunction_profile, checks.radial_basis
+    def counting(build):
+        def built(*args):
+            states = build(*args)
+            return dataclasses.replace(states, fn=counted(states.fn))
+        return built
 
-    def counted_basis(*args):
-        b = basis(*args)
-        return dataclasses.replace(b, fn=counted(b.fn))
-
-    monkeypatch.setattr(oscillator, "wavefunction_profile", lambda *a: counted(profile(*a)))
-    monkeypatch.setattr(checks, "radial_basis", counted_basis)
+    monkeypatch.setattr(checks, "radial_basis", counting(checks.radial_basis))
+    # single states: R_0 of the momentum route and of the ladder chain
+    state = counting(oscillator.radial_wavefunction)
+    monkeypatch.setattr(checks, "radial_wavefunction", state)
+    monkeypatch.setattr(symmetry, "radial_wavefunction", state)
     outcomes = checks.run_point((3, 1, 0.2, 1.0), [c for c in CHECKS if CHECKS[c].scope == "grid"])
     assert all(o.passed for o in outcomes)
     assert 0 < len(calls) <= 13

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,10 @@ import numpy as np
 import pytest
 
 import relsingosc
+from relsingosc import checks
 from relsingosc.cli import main
+from relsingosc.operators import AnalyticFunction
+from relsingosc.oscillator import radial_basis
 
 VALID = ["--dims", "3", "--l", "1", "--omega0", "0.1", "--g0", "1.0"]
 FAST_CHECKS = "eigen-residual,su11-ladder-bracket,casimir-bargmann"
@@ -103,12 +107,13 @@ def test_eval_invalid_point_exits_2(capsys):
     assert "skipped" in err
 
 
-def test_eval_overflowing_norm_is_skipped(capsys):
+def test_eval_where_h_n_overflows_prints_finite_states(capsys):
+    # h_0 overflows a float at omega0 = 0.008; the states need only log h_0
     code, out, err = run(capsys, ["eval", "--dims", "3", "--l", "1", "--omega0", "0.008",
-                                  "--g0", "1", "--n-max", "0"])
-    assert code == 2
-    assert out == ""
-    assert "# skipped N=3 l=1 omega0=0.008 g0=1.0" in err
+                                  "--g0", "1", "--n-max", "0", "--grid", "0.5:40:20"])
+    assert code == 0 and "skipped" not in err
+    values = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[1:]])
+    assert values.shape == (20, 4) and np.all(np.isfinite(values)) and np.max(values[:, 3]) > 0
 
 
 def test_verify_small_grid_passes(capsys):
@@ -151,11 +156,17 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-def test_verify_errored_checks_give_strict_json(capsys):
-    # the closed-form norm overflows at omega0 = 0.001, so every check that
-    # needs a state errors
-    code, out, _ = run(capsys, ["verify", "--dims", "3", "--l", "1", "--omega0", "0.001",
-                                "--g0", "1", "--n-max", "2", "--format", "json"])
+def test_verify_errored_checks_give_strict_json(capsys, monkeypatch):
+    # states that evaluate to inf make every check that reads them error
+    def overflowing_basis(p, top):
+        basis = radial_basis(p, top)
+        return dataclasses.replace(basis, fn=AnalyticFunction(
+            lambda z: np.full((top + 1,) + np.shape(z), np.inf + 0j), basis.fn.strip_halfwidth))
+
+    monkeypatch.setattr(checks, "radial_basis", overflowing_basis)
+    with np.errstate(invalid="ignore", over="ignore"):
+        code, out, _ = run(capsys, ["verify", "--dims", "3", "--l", "1", "--omega0", "0.2",
+                                    "--g0", "1", "--n-max", "2", "--format", "json"])
     assert code == 1
     data = json.loads(out, parse_constant=_reject_constant)
     errors = [e for e in data["entries"] if e["status"] == "error"]
@@ -167,13 +178,13 @@ def test_verify_errored_checks_give_strict_json(capsys):
 
 
 def test_verify_high_excitations_give_finite_residuals(capsys):
-    # states up to n = 15 normalize in closed form, so no check errors; the
-    # exit code is left open (eigen-residual loses digits in cdh_poly there)
-    _, out, _ = run(capsys, ["verify", "--dims", "3", "--l", "1", "--omega0", "0.2",
-                             "--g0", "1", "--n-max", "15", "--format", "json"])
+    # the recurrence keeps its digits at n = 30, where the float 3F2 sum
+    # read eigen-residual 2e-2 and orthonormality 5e12, so every check passes
+    code, out, _ = run(capsys, ["verify", "--dims", "3", "--l", "1", "--omega0", "0.2",
+                                "--g0", "1", "--n-max", "30", "--format", "json"])
     data = json.loads(out, parse_constant=_reject_constant)
-    assert [e for e in data["entries"] if e["status"] == "error"] == []
-    assert all(np.isfinite(e["residual"]) for e in data["entries"])
+    assert code == 0
+    assert data["summary"]["total"] == data["summary"]["passed"] == 23
 
 
 def test_error_entries_render_null_in_every_format():

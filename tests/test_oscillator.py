@@ -1,5 +1,9 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import loggamma
 
 from relsingosc import oscillator, quadrature
 from relsingosc.operators import AnalyticFunction, compose, multiply_by, op_sum, shift, sinh_shift, cosh_shift
@@ -16,11 +20,10 @@ from relsingosc.oscillator import (
     quasipotential_op,
     quasipotential_scaled,
     radial_wavefunction,
-    wavefunction_profile,
 )
 from relsingosc.quadrature import gram_matrix, integrate_halfline
 from relsingosc.oscillator import state_decay_hint
-from relsingosc.specfun import CdhParams, cdh_norm
+from relsingosc.specfun import CdhParams, cdh_norm, cdh_poly
 
 # frozen high-precision values for (N=3, l=1, omega0=0.1, g0=1):
 # 40-digit evaluation of the alpha/nu/energy formulas
@@ -136,18 +139,56 @@ DOMAIN_POINTS = (
 )
 
 
+def _profile(p, n, d):
+    """The unnormalized profile (-rho)^(alpha) omega0^(i rho) Gamma(nu + i rho) S_n(rho^2),
+    with the float hypergeometric sum cdh_poly: a formula that shares no
+    code with the recurrence of the states."""
+    def ev(rho):
+        r = np.asarray(rho, dtype=complex)
+        gam = np.exp(loggamma(1j * r + d.alpha) - loggamma(1j * r) + loggamma(d.nu + 1j * r))
+        return np.exp(0.5j * np.pi * d.alpha) * gam * p.omega0 ** (1j * r) * cdh_poly(n, r ** 2, d.cdh)
+    return ev
+
+
 def test_norm_const_matches_independent_quadrature():
     # the closed form sqrt(2 / h_n) against a half-line quadrature of the
-    # unnormalized profile, which stays the reference
+    # float-sum profile, which stays the reference
     for p in DOMAIN_POINTS:
         d = derive_params(p)
         for n in range(6):
-            profile = wavefunction_profile(p, n, d)
+            profile = _profile(p, n, d)
             raw_sq, _ = integrate_halfline(lambda r: np.abs(profile(r)) ** 2,
                                            state_decay_hint(d, n))
             closed = np.sqrt(2.0 / cdh_norm(n, CdhParams(d.alpha, d.nu, 0.5)))
             assert closed == pytest.approx(1.0 / np.sqrt(raw_sq), rel=1e-10), (p, n)
             assert radial_wavefunction(p, n).norm_const == closed
+
+
+def _sum_rounding(n, d, xsq):
+    """(n + 2) eps (a+b)_n (a+c)_n sum_k |t_k|: a bound on the rounding error of
+    the float sum S_n = (a+b)_n (a+c)_n sum_k t_k, whose terms cancel."""
+    a, b, c = d.alpha, d.nu, 0.5
+    term, mass = np.ones_like(xsq), np.zeros(np.shape(xsq))
+    for k in range(n + 1):
+        mass += np.abs(term)
+        term = term * ((k - n) * ((a + k) ** 2 + xsq)) / ((a + b + k) * (a + c + k) * (k + 1))
+    pref = math.prod((a + b + j) * (a + c + j) for j in range(n))
+    return (n + 2) * np.finfo(float).eps * pref * mass
+
+
+@pytest.mark.parametrize("point", [(3, 1, 0.2, 1.0), (2, 0, 0.05, 0.1), (8, 2, 0.05, 1.0)])
+def test_basis_rows_match_the_hypergeometric_sum(point):
+    # the recurrence against the float 3F2 sum, within 1e-12 of max |R_n| plus
+    # the rounding bound of the sum itself, which cancels as n grows
+    p = ModelParams(*point)
+    d = derive_params(p)
+    real = np.asarray(RHO_SAMPLES)
+    z = np.concatenate([real, real + 2j, real - 1j])
+    rows = oscillator.radial_basis(p, 10).fn(z)
+    for n in range(11):
+        want = np.sqrt(2.0 / cdh_norm(n, d.cdh)) * _profile(p, n, d)(z)
+        sum_error = np.abs(want / cdh_poly(n, z ** 2, d.cdh)) * _sum_rounding(n, d, z ** 2)
+        assert np.all(np.abs(rows[n] - want) <= 1e-12 * np.max(np.abs(want)) + sum_error), n
 
 
 def test_radial_wavefunction_needs_no_quadrature(monkeypatch):
@@ -162,18 +203,67 @@ def test_radial_wavefunction_needs_no_quadrature(monkeypatch):
         assert np.all(np.isfinite(st.fn(np.asarray(RHO_SAMPLES))))
 
 
-def test_overflowing_norm_raises():
-    # h_n overflows at nu ~ 125: the state is rejected, not returned as R = 0
-    with pytest.raises(InvalidParametersError, match="not finite and positive"):
-        radial_wavefunction(ModelParams(N=3, l=1, omega0=0.008, g0=1.0), 0)
+def _mp_state(n, d, omega0, rho):
+    """R_n at complex rho from the terminating 3F2 sum and the closed-form norm,
+    at the working precision of mpmath."""
+    a, nu, c = mpmath.mpf(d.alpha), mpmath.mpf(d.nu), mpmath.mpf(0.5)
+    total, term = 0, mpmath.mpf(1)
+    for k in range(n + 1):
+        total += term
+        term *= -(n - k) * ((a + k) ** 2 + rho ** 2) / ((a + nu + k) * (a + c + k) * (k + 1))
+    S = mpmath.rf(a + nu, n) * mpmath.rf(a + c, n) * total
+    h = (mpmath.gamma(n + a + nu) * mpmath.gamma(n + a + c) * mpmath.gamma(n + nu + c)
+         * mpmath.factorial(n))
+    degree = mpmath.exp(1j * mpmath.pi * a / 2) * mpmath.gamma(1j * rho + a) / mpmath.gamma(1j * rho)
+    return (mpmath.sqrt(2 / h) * degree * mpmath.power(mpmath.mpf(omega0), 1j * rho)
+            * mpmath.gamma(nu + 1j * rho) * S)
+
+
+@pytest.mark.parametrize("omega0", [0.2, 0.01])
+@pytest.mark.parametrize("n", [5, 20, 40])
+def test_basis_rows_match_60_digit_states(n, omega0):
+    # at the real samples, stretched with the width of the states, and at
+    # the shifted points rho + i tau where the operators read them
+    p = ModelParams(N=3, l=1, omega0=omega0, g0=1.0)
+    d = derive_params(p)
+    real = np.array([0.3, 1.0, 5.0, 10.0, 20.0]) * np.sqrt(0.2 / omega0)
+    z = np.concatenate([real, real + 2j, real - 1j])
+    got = oscillator.radial_basis(p, n).fn(z)[n]
+    with mpmath.workdps(60):
+        want = np.array([complex(_mp_state(n, d, omega0, mpmath.mpc(v.real, v.imag)))
+                         for v in z])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.filterwarnings("error")
-def test_overflowing_norm_raises_without_warning():
-    # the overflow is seen in log space, so no RuntimeWarning precedes the error
-    d = derive_params(ModelParams(N=3, l=1, omega0=0.008, g0=1.0))
-    with pytest.raises(InvalidParametersError, match="not finite and positive"):
-        oscillator.norm_constant(0, d)
+@pytest.mark.parametrize("omega0", [0.008, 0.0107])
+def test_states_where_h_n_overflows_are_unit_norm_and_match_mpmath(omega0):
+    # h_0 overflows a float at omega0 = 0.008 and h_3 at 0.0107; the states
+    # take only log h_0, so they stay finite, normalized and right
+    p = ModelParams(N=3, l=1, omega0=omega0, g0=1.0)
+    d = derive_params(p)
+    pts = np.array([0.3, 2.0, 10.0, 30.0, 60.0])
+    rows = oscillator.radial_basis(p, 5).fn(pts)
+    for n in (0, 3, 5):
+        st = radial_wavefunction(p, n)
+        norm, _ = integrate_halfline(lambda r: np.abs(st.fn(r)) ** 2, state_decay_hint(d, n))
+        assert norm == pytest.approx(1.0, abs=1e-10), n
+        got = st.fn(pts)
+        np.testing.assert_array_equal(got, rows[n])
+        with mpmath.workdps(60):
+            want = np.array([complex(_mp_state(n, d, omega0, mpmath.mpf(v))) for v in pts])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n
+
+
+@pytest.mark.filterwarnings("error")
+def test_states_vanish_at_the_origin():
+    # the pole mask of the generalized degree makes R_n(0) exactly 0, also
+    # where h_n overflows and as a row of the basis
+    for omega0 in (0.2, 0.01):
+        p = ModelParams(N=3, l=1, omega0=omega0, g0=1.0)
+        assert np.all(oscillator.radial_basis(p, 6).fn(np.zeros(2)) == 0)
+        for n in (0, 4):
+            assert radial_wavefunction(p, n).fn(0.0) == 0
 
 
 def test_gram_matrix_identity():
@@ -292,13 +382,6 @@ def test_basis_rows_are_the_states_bit_for_bit(point):
             state = radial_wavefunction(p, n)
             np.testing.assert_array_equal(rows[n], state.fn(z))
             assert basis.energies[n] == state.energy and basis.norm_consts[n] == state.norm_const
-
-
-def test_basis_raises_for_the_first_overflowing_norm():
-    p = ModelParams(N=3, l=1, omega0=0.0107, g0=1.0)
-    assert oscillator.radial_basis(p, 2).top == 2
-    with pytest.raises(InvalidParametersError, match="h_3"):
-        oscillator.radial_basis(p, 5)
 
 
 def test_eigen_residual_of_a_basis_is_one_per_row():

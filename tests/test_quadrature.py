@@ -12,10 +12,8 @@ from relsingosc.operators import AnalyticFunction
 from relsingosc.oscillator import (
     ModelParams,
     derive_params,
-    norm_constant,
     radial_wavefunction,
     state_decay_hint,
-    wavefunction_profile,
 )
 from relsingosc.quadrature import (
     DecayHint,
@@ -238,13 +236,13 @@ def test_gauss_and_legendre_gram_agree():
 
 
 def test_cdh_gauss_rule_needs_no_state_code(monkeypatch):
-    # built from the recurrence, h_0 and the weight only: a wrong cdh_poly or
-    # state cannot make the Gram matrix the identity by construction
+    # built from the recurrence and h_0 only: neither the float cdh_poly sum
+    # nor the envelope of the states enters the rule
     def refuse(*args, **kwargs):
         raise AssertionError("state code called")
 
     for mod, name in ((specfun, "cdh_poly"), (oscillator, "radial_wavefunction"),
-                      (oscillator, "wavefunction_profile")):
+                      (oscillator, "radial_basis")):
         monkeypatch.setattr(mod, name, refuse)
     monkeypatch.setattr(quadrature, "cdh_poly", refuse, raising=False)
     p = CdhParams(1.3, 2.1, 0.4)
@@ -275,9 +273,8 @@ class ShiftedNu(GridContext):
 
     def basis(self, top):
         d = dataclasses.replace(self.derived, nu=self.derived.nu + 1e-3)
-        profile = wavefunction_profile(self.params, 2, d)
-        c = norm_constant(2, d)
-        return _with_row(super().basis(top), 2, lambda z, rows: c * profile.fn(z))
+        wrong = oscillator._state_rows(self.params, d, 2, 2)
+        return _with_row(super().basis(top), 2, lambda z, rows: wrong(z)[0])
 
 
 class ScaledLadderState(GridContext):
@@ -352,3 +349,25 @@ def test_legendre_panel_is_built_once(monkeypatch):
     integrate_halfline(lambda r: np.exp(-r), hint)
     integrate_halfline(lambda r: r * np.exp(-r), hint)
     assert len(calls) <= 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega0", [0.01, 1e-3])
+def test_gauss_gram_is_identity_where_the_weight_overflows(omega0):
+    # the rule divides by the weight in logs, so the Gram matrix of the states
+    # stays finite and certifies them where h_0 and the weight overflow
+    p = ModelParams(N=3, l=1, omega0=omega0, g0=1.0)
+    G, G_next = GridContext(p).gram()
+    assert G < 1e-11 and G_next < 1e-11
+
+
+def test_christoffel_weights_keep_the_gram_matrix_at_high_degree():
+    # eigenvector (Golub-Welsch) weights on the same nodes read max |G - I|
+    # ~ 2e12 at M = 31 here; the Christoffel weights are accurate relative
+    # to each weight
+    p = ModelParams(N=3, l=1, omega0=0.2, g0=1.0)
+    d = derive_params(p)
+    basis = oscillator.radial_basis(p, 30)
+    for M in (31, 32):
+        G = cdh_gram([basis.fn], d.cdh, M)
+        assert np.max(np.abs(G - np.eye(31))) < 1e-12, M

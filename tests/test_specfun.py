@@ -14,8 +14,6 @@ from relsingosc.specfun import (
     cdh_weight,
     generalized_degree,
     log_gamma,
-    pochhammer,
-    reciprocal_gamma,
 )
 
 RNG = np.random.default_rng(42)
@@ -34,25 +32,6 @@ def test_log_gamma_pole_raises():
         log_gamma(0.0)
     with pytest.raises(GammaPoleError):
         log_gamma(np.array([1.0, -3.0 + 0j]))
-
-
-def test_reciprocal_gamma_zeros_and_values():
-    assert reciprocal_gamma(0.0) == 0.0
-    assert reciprocal_gamma(1.0) == pytest.approx(1.0, rel=1e-14)
-    assert reciprocal_gamma(-3.0) == 0.0
-
-
-def test_pochhammer_basics():
-    assert pochhammer(2.3 + 1j, 0) == 1.0
-    for n in (1, 3, 6):
-        assert pochhammer(1.0, n) == pytest.approx(float(math.factorial(n)))
-
-
-def test_pochhammer_recurrence_exact():
-    for _ in range(30):
-        a = complex(RNG.uniform(-5, 5), RNG.uniform(-5, 5))
-        n = int(RNG.integers(0, 21))
-        assert pochhammer(a, n + 1) == pochhammer(a, n) * (a + n)
 
 
 def test_generalized_degree_low_orders():
@@ -98,7 +77,7 @@ def test_cdh_poly_three_term_recurrence():
         p = CdhParams(a, b, c)
 
         def s(k):
-            return cdh_poly(k, x ** 2, p) / np.real(pochhammer(a + b, k) * pochhammer(a + c, k))
+            return cdh_poly(k, x ** 2, p) / math.prod((a + b + j) * (a + c + j) for j in range(k))
 
         A_n = (n + a + b) * (n + a + c)
         C_n = n * (n + b + c - 1)
@@ -198,3 +177,34 @@ def test_gamma_reflection_property():
     resid = np.abs(np.exp(log_gamma(z) + log_gamma(1 - z)
                           + np.log(np.sin(np.pi * z) / np.pi)) - 1)
     assert np.max(resid) < 1e-11
+
+
+def test_cdh_orthonormal_rows_are_the_scaled_sum():
+    # s_n = S_n sqrt(h_0 / h_n) at real and complex x^2, while the float sum keeps its digits
+    p = CdhParams(1.3, 2.1, 0.4)
+    for xsq in (np.linspace(0.0, 9.0, 7), (np.linspace(0.3, 3.0, 5) + 1.5j) ** 2):
+        rows = specfun.cdh_orthonormal(6, xsq, p)
+        assert rows.dtype == np.asarray(xsq).dtype and rows.shape == (7,) + xsq.shape
+        for n in range(7):
+            want = cdh_poly(n, xsq, p) * math.sqrt(cdh_norm(0, p) / cdh_norm(n, p))
+            assert np.max(np.abs(rows[n] - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), n
+
+
+def test_cdh_orthonormal_single_row_is_the_row_of_the_table():
+    p = CdhParams(2.6, 10.3, 0.5)
+    xsq = (np.array([0.3, 1.0, 5.0, 20.0]) + 1j) ** 2
+    table = specfun.cdh_orthonormal(9, xsq, p)
+    for n in (0, 4, 9):
+        np.testing.assert_array_equal(specfun.cdh_orthonormal(n, xsq, p, lowest=n)[0], table[n])
+    np.testing.assert_array_equal(specfun.cdh_orthonormal(9, xsq, p, lowest=3), table[3:])
+
+
+def test_cdh_log_weight_is_finite_where_the_weight_overflows():
+    # nu ~ 1000 at omega0 = 1e-3: the weight itself is far beyond a float
+    p = CdhParams(2.56, 1000.5, 0.5)
+    x = np.array([0.5, 3.0, 30.0])
+    log_w = specfun.cdh_log_weight(x, p)
+    assert np.all(np.isfinite(log_w)) and np.all(log_w > 800)
+    q = CdhParams(1.3, 2.1, 0.4)
+    assert np.array_equal(cdh_weight(x, q), np.exp(specfun.cdh_log_weight(x, q)))
+    assert cdh_weight(0.7, q) == math.exp(specfun.cdh_log_weight(0.7, q))
