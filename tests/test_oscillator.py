@@ -255,6 +255,30 @@ def test_states_where_h_n_overflows_are_unit_norm_and_match_mpmath(omega0):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n
 
 
+def test_overflowing_norm_raises():
+    # h_0 overflows at omega0 = 0.008 (nu ~ 125): cdh_norm raises, but the
+    # state is neither rejected nor returned as R = 0
+    p = ModelParams(N=3, l=1, omega0=0.008, g0=1.0)
+    with pytest.raises(OverflowError):
+        cdh_norm(0, derive_params(p).cdh)
+    vals = radial_wavefunction(p, 0).fn(np.array([0.3, 2.0, 10.0, 30.0]))
+    assert np.all(np.isfinite(vals))
+    assert np.all(np.abs(vals) > 0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_norm_raises_without_warning():
+    # the overflow is seen in log space: no RuntimeWarning comes with the
+    # raise of cdh_norm, and norm_constant is sqrt(2 / h_0) all the same
+    d = derive_params(ModelParams(N=3, l=1, omega0=0.008, g0=1.0))
+    with pytest.raises(OverflowError):
+        cdh_norm(0, d.cdh)
+    a, nu, c = mpmath.mpf(d.alpha), mpmath.mpf(d.nu), mpmath.mpf(0.5)
+    with mpmath.workdps(40):
+        want = mpmath.sqrt(2 / (mpmath.gamma(a + nu) * mpmath.gamma(a + c) * mpmath.gamma(nu + c)))
+    assert oscillator.norm_constant(0, d) == pytest.approx(float(want), rel=1e-12)
+
+
 @pytest.mark.filterwarnings("error")
 def test_states_vanish_at_the_origin():
     # the pole mask of the generalized degree makes R_n(0) exactly 0, also
