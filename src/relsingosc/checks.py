@@ -2,7 +2,7 @@
 suite.
 
 Grid-scoped checks take one validated parameter point (through a context
-that caches the eigenstates and operators for that point); global checks
+that holds the eigenbasis and its image table for that point); global checks
 carry their own fixed parameter sets. Every check reduces to a single
 scalar residual compared against a tolerance, with the convention that
 smaller is always better: negative controls (which must observe a LARGE
@@ -11,7 +11,6 @@ residual) report the margin ratio threshold/observed against tolerance 1.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ from .operators import (
     compose,
     identity_op,
     images,
+    multiply_by,
     op_sum,
     scale,
     taylor_limit_check,
@@ -35,7 +35,6 @@ from .oscillator import (
     ModelParams,
     RadialBasis,
     derive_params,
-    eigen_residual,
     energy,
     hamiltonian_radial_N,
     hamiltonian_reduced,
@@ -54,7 +53,6 @@ from .symmetry import (
     build_A_plus,
     build_momentum,
     casimir,
-    commutator_residual,
     generate_basis_via_ladder,
     momentum_commutator,
 )
@@ -121,35 +119,65 @@ class CheckDef:
 
 
 class GridContext:
-    """Per-parameter-point cache of the eigenbasis and the operators.
+    """Per-parameter-point cache of one eigenbasis and its image table.
 
-    A check reads the states as rows of one basis, `basis(top)` = R_0..R_top,
-    and applies each operator to all rows at once. Each check asks for the
-    rows it reads (R_0..R_nmax, R_0..R_3 for the superpositions, one more
-    than the ladder rows for ladder-action).
+    The basis is R_0..R_top, top = max(n_max, min(n_max, 4) + 1, 3), which
+    holds the rows of every reader: n <= n_max for the eigen checks, R_0..R_3
+    for the superpositions, and R_n, R_{n+1} for ladder-action, n < top.
+    `table()` maps the name of each operator of the pointwise identities to
+    its image of the whole basis at the samples, all from one read of the
+    basis (`images`), and every pointwise check reduces rows of it.
+    `momentum-routes` reads its own R_0, and the ladder checks their
+    ladder-built rows.
 
     Each row is a polynomial from the recurrence that also builds the
     Gauss-CDH rule, times an envelope, so `gram()` certifies the envelope;
-    `h_rows()` and `ladder_basis()` (which reads only R_0) certify the
-    polynomial part.
+    the H rows of the table and `ladder_basis()` (which reads only R_0)
+    certify the polynomial part.
     """
 
     def __init__(self, params: ModelParams, n_max: int = 5, rho_samples=RHO_SAMPLES):
         self.params = params
         self.n_max = int(n_max)
+        self.top = max(self.n_max, min(self.n_max, 4) + 1, 3)
         self.rho_samples = tuple(rho_samples)
         self.derived = derive_params(params)
-        self._bases: dict[int, RadialBasis] = {}
+        self._basis: RadialBasis | None = None
+        self._table: dict[str, np.ndarray] | None = None
         self._ladder_basis: RadialBasis | None = None
-        self._ops: dict[str, object] = {}
         self._gram: tuple[float, float] | None = None
-        self._h_image: np.ndarray | None = None
 
-    def basis(self, top: int) -> RadialBasis:
+    def basis(self) -> RadialBasis:
         """R_0..R_top evaluated directly, stacked on a leading axis."""
-        if top not in self._bases:
-            self._bases[top] = radial_basis(self.params, top)
-        return self._bases[top]
+        if self._basis is None:
+            self._basis = radial_basis(self.params, self.top)
+        return self._basis
+
+    def table(self) -> dict[str, np.ndarray]:
+        """Operator name -> its image of R_0..R_top at the samples, one row
+        per state; "R" is the basis itself."""
+        if self._table is None:
+            p, sigma = self.params, self.derived.alpha + self.derived.nu
+            H, A_plus, A_minus = hamiltonian_reduced(p), build_A_plus(p), build_A_minus(p)
+            multiplier = multiply_by(lambda z: planewaves.reduction_multiplier(z, p.N),
+                                     singular_points=(0.0,))
+            ops = {
+                "R": identity_op(),
+                "H": H,
+                "factorized H": compose(scale(p.omega0), op_sum(
+                    compose(build_a_plus(p), build_a_minus(p)),
+                    compose(scale(sigma), identity_op()))),
+                "A+": A_plus,
+                "A-": A_minus,
+                "H A+": compose(H, A_plus),
+                "A+ H": compose(A_plus, H),
+                "H A-": compose(H, A_minus),
+                "A- H": compose(A_minus, H),
+                "H_N m": compose(hamiltonian_radial_N(p), multiplier),
+            }
+            pts = np.asarray(self.rho_samples, dtype=float)
+            self._table = dict(zip(ops, images(tuple(ops.values()), self.basis().fn)(pts)))
+        return self._table
 
     def ladder_basis(self) -> RadialBasis:
         """R_0..R_top, top = min(4, n_max), built as (K+)^n R_0 in one pass;
@@ -157,19 +185,6 @@ class GridContext:
         if self._ladder_basis is None:
             self._ladder_basis = generate_basis_via_ladder(self.params, min(4, self.n_max))
         return self._ladder_basis
-
-    def op(self, name: str):
-        if name not in self._ops:
-            builders = {
-                "H": lambda: hamiltonian_reduced(self.params),
-                "a-": lambda: build_a_minus(self.params),
-                "a+": lambda: build_a_plus(self.params),
-                "A-": lambda: build_A_minus(self.params),
-                "A+": lambda: build_A_plus(self.params),
-                "P": lambda: build_momentum(self.params),
-            }
-            self._ops[name] = builders[name]()
-        return self._ops[name]
 
     def gram(self) -> tuple[float, float]:
         """(max |G_M - I|, max |G_{M+1} - G_M|) for the Gram matrices G_M of
@@ -181,31 +196,16 @@ class GridContext:
         one more node exposes."""
         if self._gram is None:
             M = self.n_max + 1
-            fns = [self.basis(self.n_max).fn]
+            rows = self.basis().fn
+            fns = [lambda x: rows(x)[:M]]
             G = cdh_gram(fns, self.derived.cdh, M)
             G_next = cdh_gram(fns, self.derived.cdh, M + 1)
             self._gram = (float(np.max(np.abs(G - np.eye(M)))),
                           float(np.max(np.abs(G_next - G))))
         return self._gram
 
-    def h_rows(self, shift: float = 0.0) -> np.ndarray:
-        """The eigen-residual of H against E_n + shift, one per row of
-        basis(n_max), from the one (H R, R) pair at the samples cached here."""
-        basis = self.basis(self.n_max)
-        if self._h_image is None:
-            self._h_image = images((self.op("H"), identity_op()), basis.fn)(
-                np.asarray(self.rho_samples, dtype=float))
-        return image_residual(*self._h_image, (basis.energies + shift)[:, None])
-
     def energy_of(self, n: int) -> float:
         return energy(n, self.derived, self.params.omega0)
-
-    def superpositions(self) -> AnalyticFunction:
-        """The fixed superpositions of R_0..R_3, one per row: coefficient
-        vectors on the rows of the basis."""
-        rows = self.basis(3).fn
-        return AnalyticFunction(lambda z: np.tensordot(_SUPERPOSITIONS, rows(z), 1),
-                                rows.strip_halfwidth, rows.singular_points)
 
 
 # --------------------------------------------------------------------------
@@ -218,14 +218,17 @@ def _worst(residuals) -> float:
     return float(np.max(residuals, initial=0.0))
 
 
-def _eigen_rows(op, basis: RadialBasis, points):
-    """The eigen-residual of op, one per row of basis, from one image of
-    the basis."""
-    return eigen_residual(op, basis.fn, basis.energies[:, None], points)
+def _eigen_defects(ctx: GridContext, name: str, shift: float = 0.0) -> np.ndarray:
+    """The eigen-residual of the named image against E_n + shift, one per
+    row n <= n_max of the table."""
+    k = ctx.n_max + 1
+    table = ctx.table()
+    energies = ctx.basis().energies[:k] + shift
+    return image_residual(table[name][:k], table["R"][:k], energies[:, None])
 
 
 def check_eigen_residual(ctx: GridContext) -> float:
-    return _worst(ctx.h_rows())
+    return _worst(_eigen_defects(ctx, "H"))
 
 
 def check_eigen_negative_control(ctx: GridContext) -> float:
@@ -233,7 +236,7 @@ def check_eigen_negative_control(ctx: GridContext) -> float:
 
     Reported residual is threshold/observed so that pass <=> residual <= 1.
     """
-    observed = ctx.h_rows(0.1 * ctx.params.omega0)
+    observed = _eigen_defects(ctx, "H", 0.1 * ctx.params.omega0)
     # np.min and np.maximum keep a nan, where the builtins would drop it
     return NEGATIVE_CONTROL_THRESHOLD / np.maximum(np.min(observed), _GUARD)
 
@@ -247,23 +250,24 @@ def check_orthonormality_quadrature_error(ctx: GridContext) -> float:
 
 
 def check_factorization(ctx: GridContext) -> float:
-    sigma = ctx.derived.alpha + ctx.derived.nu
-    op = compose(scale(ctx.params.omega0), op_sum(
-        compose(ctx.op("a+"), ctx.op("a-")),
-        compose(scale(sigma), identity_op()),
-    ))
-    return _worst(_eigen_rows(op, ctx.basis(ctx.n_max), ctx.rho_samples))
+    return _worst(_eigen_defects(ctx, "factorized H"))
 
 
 def check_commutator_hamiltonian_ladder(ctx: GridContext) -> float:
-    """[H, A+-] = +-2 omega0 A+- pointwise on eigenbasis superpositions."""
-    H = ctx.op("H")
-    fns = [ctx.superpositions()]
-    pts = ctx.rho_samples
+    """[H, A+-] = +-2 omega0 A+- pointwise on eigenbasis superpositions: the
+    fixed coefficient vectors on R_0..R_3 applied to those rows of the
+    H A+-, A+- H and A+- images. The residual is relative to the largest of
+    the three terms at each point, as in `symmetry.commutator_residual`."""
+    table = ctx.table()
     two_w = 2.0 * ctx.params.omega0
-    r_plus = commutator_residual(H, ctx.op("A+"), compose(scale(two_w), ctx.op("A+")), fns, pts)
-    r_minus = commutator_residual(H, ctx.op("A-"), compose(scale(-two_w), ctx.op("A-")), fns, pts)
-    return _worst((r_plus, r_minus))
+    resids = []
+    for sign, a in ((1.0, "A+"), (-1.0, "A-")):
+        xy, yx, r = (np.tensordot(_SUPERPOSITIONS, table[name][:4], 1)
+                     for name in (f"H {a}", f"{a} H", a))
+        r = sign * two_w * r
+        den = np.maximum(np.maximum(np.abs(xy), np.abs(yx)), np.abs(r)) + _GUARD
+        resids.append(np.max(np.abs(xy - yx - r) / den))
+    return _worst(resids)
 
 
 def check_commutator_ladder_pair(ctx: GridContext) -> float:
@@ -317,15 +321,12 @@ def _pointwise_match(got, want, floor_scale: float) -> float:
 
 def check_ladder_action(ctx: GridContext) -> float:
     """Pointwise K+ R_n vs kappa_{n+1} R_{n+1} and K- R_n vs kappa_n R_{n-1},
-    n <= 4, with K+- the spectral scalars times the A+- images; the images
-    and the plain values come from one read of the basis."""
+    n < top, with K+- the spectral scalars times the A+- rows of the table."""
     lc = LadderCoefficients.from_params(ctx.params, ctx.derived)
-    pts = np.asarray(ctx.rho_samples)
-    top = min(4, ctx.n_max)
-    ups, downs, vals = images((ctx.op("A+"), ctx.op("A-"), identity_op()),
-                              ctx.basis(top + 1).fn)(pts)
+    table = ctx.table()
+    ups, downs, vals = table["A+"], table["A-"], table["R"]
     resids = []
-    for n in range(top + 1):
+    for n in range(ctx.top):
         up = lc.spectral_scalar(n + 1) * ups[n]
         want_up = lc.kappa(n + 1) * vals[n + 1]
         resids.append(_pointwise_match(up, want_up, float(np.max(np.abs(want_up)))))
@@ -340,10 +341,9 @@ def check_ladder_action(ctx: GridContext) -> float:
 
 def check_state_generation(ctx: GridContext) -> float:
     """Ladder-generated R_n vs direct evaluation, pointwise, n <= 4."""
-    pts = np.asarray(ctx.rho_samples)
     top = min(4, ctx.n_max)
-    want = np.asarray(ctx.basis(top).fn(pts))
-    got = np.asarray(ctx.ladder_basis().fn(pts))
+    want = ctx.table()["R"]
+    got = np.asarray(ctx.ladder_basis().fn(np.asarray(ctx.rho_samples)))
     return _worst([_pointwise_match(got[n], want[n], float(np.max(np.abs(want[n]))))
                    for n in range(1, top + 1)])
 
@@ -358,24 +358,22 @@ def check_state_generation_norm(ctx: GridContext) -> float:
 
 def check_reduction_chain(ctx: GridContext) -> float:
     """psi = multiplier * R satisfies the unreduced N-dimensional radial
-    eigen-equation at the sample points, n <= 2."""
-    p = ctx.params
-    basis = ctx.basis(min(2, ctx.n_max))
-    rows = basis.fn
-
-    def psi_eval(z):
-        return planewaves.reduction_multiplier(z, p.N) * rows(z)
-
-    psi = dataclasses.replace(basis, fn=AnalyticFunction(psi_eval, rows.strip_halfwidth))
-    return _worst(_eigen_rows(hamiltonian_radial_N(p), psi, ctx.rho_samples))
+    eigen-equation at the sample points, n <= 2: the H_N m rows of the
+    table against E_n m R_n."""
+    k = min(2, ctx.n_max) + 1
+    # the table first: at a singular sample it raises before m divides by zero
+    table = ctx.table()
+    m = planewaves.reduction_multiplier(np.asarray(ctx.rho_samples, dtype=float), ctx.params.N)
+    return _worst(image_residual(table["H_N m"][:k], m * table["R"][:k],
+                                 ctx.basis().energies[:k, None]))
 
 
 def check_momentum_routes(ctx: GridContext) -> float:
     """Explicit momentum operator vs its commutator definition i[H, rho]."""
-    pts = np.asarray(ctx.rho_samples)
-    st = radial_wavefunction(ctx.params, 0)
-    explicit = np.asarray(ctx.op("P").apply(st.fn)(pts))
-    comm = np.asarray(momentum_commutator(ctx.params).apply(st.fn)(pts))
+    p = ctx.params
+    st = radial_wavefunction(p, 0)
+    explicit, comm = images((build_momentum(p), momentum_commutator(p)),
+                            st.fn)(np.asarray(ctx.rho_samples, dtype=float))
     den = np.abs(explicit) + _GUARD
     return float(np.max(np.abs(explicit - comm) / den))
 
@@ -553,7 +551,7 @@ CHECKS: dict[str, CheckDef] = {c.check_id: c for c in [
     _grid("casimir-bargmann", 1e-10, check_casimir,
           "Casimir K0(K0-1) - K+K- equals s(s-1) I as a matrix on R_0..R_3"),
     _grid("ladder-action", 1e-7, check_ladder_action,
-          "pointwise K+- R_n vs kappa R_{n+-1}, n <= 4"),
+          "pointwise K+- R_n vs kappa R_{n+-1}, every n < top = max(n_max, min(n_max, 4) + 1, 3)"),
     _grid("state-generation", 1e-7, check_state_generation,
           "ladder-generated R_n matches direct evaluation pointwise, n <= 4 "
           "(certifies the polynomial part: the ladder reads only R_0)"),

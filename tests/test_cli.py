@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,25 @@ def test_verify_errored_checks_give_strict_json(capsys, monkeypatch):
     for e in errors:
         assert e["residual"] is None and e["pass"] is False
         assert e["reason"].startswith("error: ")
+    assert data["summary"]["failed"] == len(errors)
+
+
+def test_verify_at_a_singular_sample_gives_error_entries_without_warning(capsys):
+    # rho = 0 is a declared singular point of every pointwise operator, so each
+    # pointwise check raises there before it evaluates anything (the reduction
+    # multiplier, say) that would divide by zero
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, ["verify", "--dims", "3", "--l", "1", "--omega0", "0.2",
+                                    "--g0", "1", "--rho", "0,1", "--format", "json"])
+    assert not caught
+    assert code == 1
+    data = json.loads(out, parse_constant=_reject_constant)
+    errors = {e["check_id"]: e["reason"] for e in data["entries"] if e["status"] == "error"}
+    assert sorted(errors) == ["commutator-hamiltonian-ladder", "eigen-negative-control",
+                              "eigen-residual", "factorization", "ladder-action",
+                              "momentum-routes", "reduction-chain", "state-generation"]
+    assert all("SingularPointError" in reason for reason in errors.values())
     assert data["summary"]["failed"] == len(errors)
 
 

@@ -264,17 +264,17 @@ def _with_row(basis, n, row):
 class ScaledState(GridContext):
     """R_2 with its normalization constant multiplied by 1 + 1e-5."""
 
-    def basis(self, top):
-        return _with_row(super().basis(top), 2, lambda z, rows: (1.0 + 1e-5) * rows[2])
+    def basis(self):
+        return _with_row(super().basis(), 2, lambda z, rows: (1.0 + 1e-5) * rows[2])
 
 
 class ShiftedNu(GridContext):
     """R_2 built with nu perturbed by 1e-3."""
 
-    def basis(self, top):
+    def basis(self):
         d = dataclasses.replace(self.derived, nu=self.derived.nu + 1e-3)
         wrong = oscillator._state_rows(self.params, d, 2, 2)
-        return _with_row(super().basis(top), 2, lambda z, rows: wrong(z)[0])
+        return _with_row(super().basis(), 2, lambda z, rows: wrong(z)[0])
 
 
 class ScaledLadderState(GridContext):
