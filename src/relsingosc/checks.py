@@ -126,9 +126,10 @@ class GridContext:
     for the superpositions, and R_n, R_{n+1} for ladder-action, n < top.
     `table()` maps the name of each operator of the pointwise identities to
     its image of the whole basis at the samples, all from one read of the
-    basis (`images`), and every pointwise check reduces rows of it.
-    `momentum-routes` reads its own R_0, and the ladder checks their
-    ladder-built rows.
+    basis (`images`), and every pointwise check reduces blocks of its rows,
+    the degree n being the leading array axis. `momentum-routes` reads its
+    own R_0, and the ladder checks their ladder-built rows; the coefficient
+    checks read no state, only the ladder scalars on arrays of degrees.
 
     Each row is a polynomial from the recurrence that also builds the
     Gauss-CDH rule, times an envelope, so `gram()` certifies the envelope;
@@ -204,9 +205,6 @@ class GridContext:
                           float(np.max(np.abs(G_next - G))))
         return self._gram
 
-    def energy_of(self, n: int) -> float:
-        return energy(n, self.derived, self.params.omega0)
-
 
 # --------------------------------------------------------------------------
 # grid-scoped checks
@@ -278,27 +276,19 @@ def check_commutator_ladder_pair(ctx: GridContext) -> float:
     """
     lc = LadderCoefficients.from_params(ctx.params, ctx.derived)
     om0 = ctx.params.omega0
-    resids = []
-    for n in range(ctx.n_max + 1):
-        e_n = ctx.energy_of(n)
-        lhs = lc.f_energy(n + 1) * lc.kappa(n + 1) ** 2
-        if n > 0:
-            lhs -= lc.f_energy(n) * lc.kappa(n) ** 2
-        rhs = om0 * e_n * (1.0 + 2.0 / om0 ** 2 * (e_n ** 2 - 1.0))
-        resids.append(abs(lhs - rhs) / (abs(rhs) + _GUARD))
-    return _worst(resids)
+    rung = np.arange(1, ctx.n_max + 2)
+    # the n = 0 row subtracts f(E_0) kappa_0^2 = 0, so f(E_0) is never formed
+    lhs = np.diff(lc.f_energy(rung) * lc.kappa(rung) ** 2, prepend=0.0)
+    e_n = energy(rung - 1, ctx.derived, om0)
+    rhs = om0 * e_n * (1.0 + 2.0 / om0 ** 2 * (e_n ** 2 - 1.0))
+    return _worst(np.abs(lhs - rhs) / (np.abs(rhs) + _GUARD))
 
 
 def check_su11_ladder_bracket(ctx: GridContext) -> float:
     """kappa_{n+1}^2 - kappa_n^2 = 2n + alpha + nu, exactly, n <= 50."""
-    lc = LadderCoefficients.from_params(ctx.params, ctx.derived)
-    sigma = ctx.derived.alpha + ctx.derived.nu
-    resids = []
-    for n in range(51):
-        lhs = lc.kappa(n + 1) ** 2 - lc.kappa(n) ** 2
-        rhs = 2 * n + sigma
-        resids.append(abs(lhs - rhs) / abs(rhs))
-    return _worst(resids)
+    kappa2 = LadderCoefficients.from_params(ctx.params, ctx.derived).kappa(np.arange(52)) ** 2
+    rhs = 2 * np.arange(51) + (ctx.derived.alpha + ctx.derived.nu)
+    return _worst(np.abs(np.diff(kappa2) - rhs) / np.abs(rhs))
 
 
 def check_casimir(ctx: GridContext) -> float:
@@ -310,42 +300,37 @@ def check_casimir(ctx: GridContext) -> float:
     return _worst(np.abs(deviation) / (abs(target) + _GUARD))
 
 
-def _pointwise_match(got, want, floor_scale: float) -> float:
-    """Max |got-want| / (|want| + 1e-3 * scale): relative, with a floor that
-    keeps accidental proximity to a polynomial node from dividing by ~0."""
-    got = np.asarray(got)
-    want = np.asarray(want)
-    den = np.abs(want) + 1e-3 * floor_scale + _GUARD
-    return float(np.max(np.abs(got - want) / den))
+def _pointwise_match(got, want) -> float:
+    """Max |got-want| / (|want| + 1e-3 max|want|) over rows of samples (last
+    axis), max|want| taken per row: relative, with a floor that keeps
+    accidental proximity to a polynomial node from dividing by ~0."""
+    mod = np.abs(want)
+    den = mod + 1e-3 * np.max(mod, axis=-1, keepdims=True) + _GUARD
+    return _worst(np.abs(got - want) / den)
 
 
 def check_ladder_action(ctx: GridContext) -> float:
     """Pointwise K+ R_n vs kappa_{n+1} R_{n+1} and K- R_n vs kappa_n R_{n-1},
-    n < top, with K+- the spectral scalars times the A+- rows of the table."""
+    n < top, with K+- the spectral scalars times the A+- blocks of the table;
+    K- R_0 = 0 is measured against max|R_0|."""
     lc = LadderCoefficients.from_params(ctx.params, ctx.derived)
     table = ctx.table()
-    ups, downs, vals = table["A+"], table["A-"], table["R"]
-    resids = []
-    for n in range(ctx.top):
-        up = lc.spectral_scalar(n + 1) * ups[n]
-        want_up = lc.kappa(n + 1) * vals[n + 1]
-        resids.append(_pointwise_match(up, want_up, float(np.max(np.abs(want_up)))))
-        down = lc.spectral_scalar(n) * downs[n]
-        if n == 0:
-            resids.append(float(np.max(np.abs(down))) / float(np.max(np.abs(vals[0]))))
-        else:
-            want_dn = lc.kappa(n) * vals[n - 1]
-            resids.append(_pointwise_match(down, want_dn, float(np.max(np.abs(want_dn)))))
-    return _worst(resids)
+    vals, n = table["R"], np.arange(ctx.top + 1)
+    kappa, scalar = lc.kappa(n)[:, None], lc.spectral_scalar(n)[:, None]
+    up = scalar[1:] * table["A+"][:-1]
+    down = scalar[:-1] * table["A-"][:-1]
+    return _worst((
+        _pointwise_match(up, kappa[1:] * vals[1:]),
+        np.max(np.abs(down[0])) / np.max(np.abs(vals[0])),
+        _pointwise_match(down[1:], kappa[1:-1] * vals[:-2]),
+    ))
 
 
 def check_state_generation(ctx: GridContext) -> float:
     """Ladder-generated R_n vs direct evaluation, pointwise, n <= 4."""
-    top = min(4, ctx.n_max)
-    want = ctx.table()["R"]
-    got = np.asarray(ctx.ladder_basis().fn(np.asarray(ctx.rho_samples)))
-    return _worst([_pointwise_match(got[n], want[n], float(np.max(np.abs(want[n]))))
-                   for n in range(1, top + 1)])
+    rows = slice(1, min(4, ctx.n_max) + 1)
+    got = ctx.ladder_basis().fn(np.asarray(ctx.rho_samples))
+    return _pointwise_match(got[rows], ctx.table()["R"][rows])
 
 
 def check_state_generation_norm(ctx: GridContext) -> float:

@@ -46,7 +46,7 @@ from .oscillator import (
     derive_params,
     energy,
     nonrel_energy,
-    radial_wavefunction,
+    radial_basis,
 )
 from .report import build_report
 
@@ -240,8 +240,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 # eval
 # --------------------------------------------------------------------------
 
-def _eval_csv(state, rho):
-    vals = np.asarray(state.fn(rho))
+def _eval_csv(rho, vals):
     lines = ["rho,re,im,abs2"]
     for r, v in zip(rho, vals):
         lines.append(f"{float(r)!r},{float(v.real)!r},{float(v.imag)!r},"
@@ -254,14 +253,13 @@ def cmd_eval(cfg: RunConfig) -> int:
     rho = np.linspace(start, stop, count)
     blocks = []
     for (N, l, om0, g0) in _grid_points(cfg):
-        for n in range(cfg.n_max + 1):
-            try:
-                p = ModelParams(N=N, l=l, omega0=om0, g0=g0)
-                state = radial_wavefunction(p, n)
-            except InvalidParametersError as exc:
-                print(f"# skipped N={N} l={l} omega0={om0} g0={g0}: {exc}", file=sys.stderr)
-                break  # same reason for every higher n at this point
-            blocks.append((f"N{N}_l{l}_n{n}_w{om0:g}_g{g0:g}", _eval_csv(state, rho)))
+        try:
+            basis = radial_basis(ModelParams(N=N, l=l, omega0=om0, g0=g0), cfg.n_max)
+        except InvalidParametersError as exc:
+            print(f"# skipped N={N} l={l} omega0={om0} g0={g0}: {exc}", file=sys.stderr)
+            continue
+        blocks.extend((f"N{N}_l{l}_n{n}_w{om0:g}_g{g0:g}", _eval_csv(rho, vals))
+                      for n, vals in enumerate(basis.fn(rho)))
     if not blocks:
         print("error: no valid states to evaluate", file=sys.stderr)
         return EXIT_CONFIG

@@ -82,12 +82,6 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 class InvalidParametersError(ValueError):
     """Model parameters outside the real-spectrum regime (or plain invalid)."""
 
-    def __init__(self, message, *, omega0=None, g0=None, L=None):
-        super().__init__(message)
-        self.omega0 = omega0
-        self.g0 = g0
-        self.L = L
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -149,29 +143,26 @@ def derive_params(p: ModelParams) -> DerivedParams:
     D = 1.0 - 8.0 * p.g0 * w2 - 4.0 * w2 * L * (L + 1.0)
     if D < 0:
         raise InvalidParametersError(
-            f"discriminant-negative: D = {D:.6g} < 0 for omega0={p.omega0}, g0={p.g0}, L={L}",
-            omega0=p.omega0, g0=p.g0, L=L,
+            f"discriminant-negative: D = {D:.6g} < 0 for omega0={p.omega0}, g0={p.g0}, L={L}"
         )
     sD = np.sqrt(D)
     rad_alpha = 1.0 + 2.0 * (8.0 * p.g0 + 4.0 * L * (L + 1.0)) / (1.0 + sD)
     rad_nu = 1.0 + (2.0 / w2) * (1.0 + sD)
     if rad_alpha < 0:
         raise InvalidParametersError(
-            f"alpha radicand negative ({rad_alpha:.6g}) for omega0={p.omega0}, g0={p.g0}, L={L}",
-            omega0=p.omega0, g0=p.g0, L=L,
+            f"alpha radicand negative ({rad_alpha:.6g}) for omega0={p.omega0}, g0={p.g0}, L={L}"
         )
     alpha = 0.5 + 0.5 * np.sqrt(rad_alpha)
     nu = 0.5 + 0.5 * np.sqrt(rad_nu)
     if not alpha > 0:
-        raise InvalidParametersError(
-            f"derived alpha = {alpha} not positive", omega0=p.omega0, g0=p.g0, L=L
-        )
+        raise InvalidParametersError(f"derived alpha = {alpha} not positive")
     return DerivedParams(L=L, alpha=float(alpha), nu=float(nu),
                          s=float((alpha + nu) / 2.0), D=float(D))
 
 
-def energy(n: int, d: DerivedParams, omega0: float) -> float:
-    """Bound-state energy E_n = omega0 (2n + alpha + nu) in units of mc^2."""
+def energy(n, d: DerivedParams, omega0: float):
+    """Bound-state energy E_n = omega0 (2n + alpha + nu) in units of mc^2, for
+    one degree n or elementwise for an integer array of degrees."""
     return omega0 * (2 * n + d.alpha + d.nu)
 
 
@@ -265,12 +256,11 @@ def radial_wavefunction(p: ModelParams, n: int) -> RadialState:
 @dataclass(frozen=True)
 class RadialBasis:
     """The bound states R_0..R_top: fn(rho) holds R_n(rho) in row n of a new
-    leading axis, and energies[n], norm_consts[n] belong to row n."""
+    leading axis, and energies[n] belongs to row n."""
 
     params: ModelParams
     derived: DerivedParams
     energies: np.ndarray
-    norm_consts: np.ndarray
     fn: AnalyticFunction
 
     @property
@@ -285,8 +275,7 @@ def radial_basis(p: ModelParams, top: int) -> RadialBasis:
     top = _check_degree(top)
     d = derive_params(p)
     return RadialBasis(
-        params=p, derived=d, energies=np.array([energy(n, d, p.omega0) for n in range(top + 1)]),
-        norm_consts=np.array([norm_constant(n, d) for n in range(top + 1)]),
+        params=p, derived=d, energies=energy(np.arange(top + 1), d, p.omega0),
         fn=AnalyticFunction(_state_rows(p, d, 0, top), STATE_STRIP_HALFWIDTH),
     )
 

@@ -52,6 +52,11 @@ DEFAULT_RHO_MAX = 60.0
 NODES_PER_PANEL = 32
 TAIL_LOG_DROP = 43.0  # e^-43 ~ 2e-19: envelope tail below 1e-16 of the peak
 SAFETY_MARGIN = 10.0  # extra rho units absorbing polynomial prefactors
+# convergence test of the Legendre refinement: relative and absolute floors
+# of the last change, and the most panel doublings
+REL_TOL = 1e-11
+ABS_TOL = 1e-15
+MAX_REFINE = 4
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -110,34 +115,32 @@ def halfline_rule(rho_max: float, panels_per_unit: int = 1) -> _Rule:
     return _Rule(nodes, np.tile(w * (width / 2.0), n_panels))
 
 
-def _refine(sums, decay_hint: DecayHint | None, rel_tol: float = 1e-11,
-            abs_tol: float = 1e-15, max_refine: int = 4):
+def _refine(sums, decay_hint: DecayHint | None):
     """The refinement loop of every Legendre integral.
 
     sums(rule) returns (value, mass): arrays of one shape holding the rule's
-    sums of the integrand and of its modulus. Panels are doubled until every
-    entry changes by at most max(rel_tol * max(|value|, mass), abs_tol). The
+    sums of the integrand and of its modulus. Panels are doubled, at most
+    MAX_REFINE times, until every entry changes by at most
+    max(REL_TOL * max(|value|, mass), ABS_TOL). The
     mass floors the test for entries that cancel to ~0, and testing each
     entry on its own keeps a large entry from letting a small one pass
     unconverged. Returns (value, largest entrywise change).
     """
     rho_max = choose_rho_max(decay_hint)
     prev, _ = sums(halfline_rule(rho_max, 1))
-    for level in range(1, max_refine + 1):
+    for level in range(1, MAX_REFINE + 1):
         cur, mass = sums(halfline_rule(rho_max, 2 ** level))
         diff = np.abs(cur - prev)
-        if np.all(diff <= np.maximum(rel_tol * np.maximum(np.abs(cur), mass), abs_tol)):
+        if np.all(diff <= np.maximum(REL_TOL * np.maximum(np.abs(cur), mass), ABS_TOL)):
             return cur, float(np.max(diff))
         prev = cur
     raise QuadratureConvergenceError(
         f"refinement stalled: last change {np.max(diff):.3e} above tolerance "
-        f"(rel {rel_tol:.1e}, abs {abs_tol:.1e})"
+        f"(rel {REL_TOL:.1e}, abs {ABS_TOL:.1e})"
     )
 
 
-def integrate_halfline(f, decay_hint: DecayHint | None = None, *,
-                       rel_tol: float = 1e-11, abs_tol: float = 1e-15,
-                       max_refine: int = 4):
+def integrate_halfline(f, decay_hint: DecayHint | None = None):
     """Integrate a real integrand on [0, inf).
 
     f(nodes) may carry leading axes, shape (..., len(nodes)): each entry is
@@ -150,7 +153,7 @@ def integrate_halfline(f, decay_hint: DecayHint | None = None, *,
         return (np.sum(rule.weights * vals, axis=-1).real,
                 np.sum(rule.weights * np.abs(vals), axis=-1))
 
-    return _refine(sums, decay_hint, rel_tol, abs_tol, max_refine)
+    return _refine(sums, decay_hint)
 
 
 def gram_matrix(fns, decay_hint: DecayHint | None = None) -> tuple[np.ndarray, float]:

@@ -88,9 +88,10 @@ class LadderDiagnosticError(RuntimeError):
 
 @dataclass(frozen=True)
 class LadderCoefficients:
-    """Scalar ladder data on the eigenbasis.
+    """Scalar ladder data on the eigenbasis, for one degree n >= 0 or an
+    integer array of degrees (elementwise):
 
-    kappa(n) = sqrt(n (n + alpha + nu - 1)) with kappa(0) = 0;
+    kappa(n) = sqrt(n (n + alpha + nu - 1)), so kappa(0) = 0;
     f_energy(n) = omega0^2 (2n + 2 alpha - 1)(2n + 2 nu - 1), the value of
     f(E_n) = [E_n + omega0(alpha - nu - 1)][E_n + omega0(nu - alpha - 1)].
     """
@@ -99,20 +100,22 @@ class LadderCoefficients:
     nu: float
     omega0: float
 
-    def kappa(self, n: int) -> float:
-        if n <= 0:
-            return 0.0
-        return float(np.sqrt(n * (n + self.alpha + self.nu - 1.0)))
+    def kappa(self, n):
+        return np.sqrt(n * (n + self.alpha + self.nu - 1.0))
 
-    def f_energy(self, n: int) -> float:
+    def f_energy(self, n):
+        """f(E_n); raises LadderDiagnosticError naming the first n where it
+        is not positive."""
         val = self.omega0 ** 2 * (2 * n + 2 * self.alpha - 1.0) * (2 * n + 2 * self.nu - 1.0)
-        if val <= 0:
+        bad = np.flatnonzero(val <= 0)
+        if bad.size:
+            k, v = np.ravel(n)[bad[0]], np.ravel(val)[bad[0]]
             raise LadderDiagnosticError(
-                f"f(E_{n}) = {val:.6g} <= 0 for alpha={self.alpha}, nu={self.nu}"
+                f"f(E_{k}) = {v:.6g} <= 0 for alpha={self.alpha}, nu={self.nu}"
             )
-        return float(val)
+        return val
 
-    def spectral_scalar(self, n: int) -> float:
+    def spectral_scalar(self, n):
         """-f(E_n)^(-1/2), the spectral scalar turning A+- images into unit
         ladder steps. The minus sign fixes the ladder constants positive real
         (the raw proportionality constants of A+- are negative with positive
@@ -274,8 +277,7 @@ def su11_generators(p: ModelParams, size: int) -> tuple[np.ndarray, np.ndarray, 
     if size < 1 or size != int(size):
         raise ValueError("size must be a positive integer")
     d = derive_params(p)
-    lc = LadderCoefficients.from_params(p, d)
-    k_plus = np.diag([lc.kappa(n) for n in range(1, int(size))], -1)
+    k_plus = np.diag(LadderCoefficients.from_params(p, d).kappa(np.arange(1, size)), -1)
     return k_plus, k_plus.T, np.diag(np.arange(size) + d.s)
 
 
@@ -330,8 +332,8 @@ def generate_basis_via_ladder(p: ModelParams, top: int) -> RadialBasis:
     the scalars are multiplied onto the rows of `powers(A+, top, R_0)`, so
     one evaluation reads R_0 once and builds the table of (A+)^n from that
     of (A+)^(n-1). (A+)^n has at most 4n + 1 offsets, and the shift budget
-    limits the pointwise route to top <= MAX_RUNGS. Energies and norm
-    constants are those of the direct states.
+    limits the pointwise route to top <= MAX_RUNGS. The energies are those
+    of the direct states.
     """
     if top < 0 or top != int(top):
         raise ValueError("top must be a non-negative integer")
@@ -341,8 +343,8 @@ def generate_basis_via_ladder(p: ModelParams, top: int) -> RadialBasis:
     ground = radial_wavefunction(p, 0)
     d = ground.derived
     lc = LadderCoefficients.from_params(p, d)
-    prefs = np.cumprod([1.0] + [lc.spectral_scalar(k) / lc.kappa(k) for k in range(1, top + 1)])
-    norm_consts = np.array([norm_constant(n, d) for n in range(top + 1)])
+    rung = np.arange(1, top + 1)
+    prefs = np.cumprod(np.concatenate(([1.0], lc.spectral_scalar(rung) / lc.kappa(rung))))
     rungs = powers(build_A_plus(p), top, ground.fn)
 
     def ev(z):
@@ -350,8 +352,7 @@ def generate_basis_via_ladder(p: ModelParams, top: int) -> RadialBasis:
         return prefs.reshape((-1,) + (1,) * (rows.ndim - 1)) * rows
 
     return RadialBasis(
-        params=p, derived=d, norm_consts=norm_consts,
-        energies=np.array([energy(n, d, p.omega0) for n in range(top + 1)]),
+        params=p, derived=d, energies=energy(np.arange(top + 1), d, p.omega0),
         fn=AnalyticFunction(ev, rungs.strip_halfwidth, rungs.singular_points),
     )
 
@@ -367,6 +368,6 @@ def generate_state_via_ladder(p: ModelParams, n: int) -> RadialState:
     fn = basis.fn
     return RadialState(
         params=p, derived=basis.derived, n=int(n), energy=float(basis.energies[n]),
-        norm_const=float(basis.norm_consts[n]),
+        norm_const=norm_constant(n, basis.derived),
         fn=AnalyticFunction(lambda z: fn(z)[n], fn.strip_halfwidth, fn.singular_points),
     )

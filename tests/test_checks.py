@@ -122,7 +122,7 @@ def test_ladder_action_covers_every_row_below_top(monkeypatch):
     scalar = symmetry.LadderCoefficients.spectral_scalar
 
     def recording(self, n):
-        rungs.add(n)
+        rungs.update(np.ravel(n).tolist())
         return scalar(self, n)
 
     monkeypatch.setattr(symmetry.LadderCoefficients, "spectral_scalar", recording)

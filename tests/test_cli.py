@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import relsingosc
-from relsingosc import checks
+from relsingosc import checks, cli
 from relsingosc.cli import main
 from relsingosc.operators import AnalyticFunction
-from relsingosc.oscillator import radial_basis
+from relsingosc.oscillator import ModelParams, radial_basis
 
 VALID = ["--dims", "3", "--l", "1", "--omega0", "0.1", "--g0", "1.0"]
 FAST_CHECKS = "eigen-residual,su11-ladder-bracket,casimir-bargmann"
@@ -115,6 +115,29 @@ def test_eval_where_h_n_overflows_prints_finite_states(capsys):
     assert code == 0 and "skipped" not in err
     values = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[1:]])
     assert values.shape == (20, 4) and np.all(np.isfinite(values)) and np.max(values[:, 3]) > 0
+
+
+def test_eval_reads_one_basis_per_valid_point(capsys, monkeypatch):
+    calls = []
+
+    def counting(p, top):
+        basis = radial_basis(p, top)  # raises at an invalid point
+        calls.append((p.omega0, top))
+        return basis
+
+    monkeypatch.setattr(cli, "radial_basis", counting)
+    code, out, err = run(capsys, ["eval", "--dims", "3", "--l", "0", "--omega0", "0.05,0.2,1.0",
+                                  "--g0", "1.0", "--n-max", "2", "--grid", "0.5:10:7"])
+    assert code == 0
+    assert calls == [(0.05, 2), (0.2, 2)]  # omega0 = 1 is outside the real-spectrum regime
+    assert err.count("# skipped") == 1 and "# skipped N=3 l=0 omega0=1.0" in err
+    rho = np.linspace(0.5, 10.0, 7)
+    want = ""
+    for om0 in (0.05, 0.2):
+        rows = radial_basis(ModelParams(N=3, l=0, omega0=om0, g0=1.0), 2).fn(rho)
+        for n in range(3):
+            want += f"# N3_l0_n{n}_w{om0:g}_g1\n" + cli._eval_csv(rho, rows[n])
+    assert out == want
 
 
 def test_verify_small_grid_passes(capsys):

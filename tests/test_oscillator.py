@@ -405,7 +405,7 @@ def test_basis_rows_are_the_states_bit_for_bit(point):
         for n in range(7):
             state = radial_wavefunction(p, n)
             np.testing.assert_array_equal(rows[n], state.fn(z))
-            assert basis.energies[n] == state.energy and basis.norm_consts[n] == state.norm_const
+            assert basis.energies[n] == state.energy
 
 
 def test_eigen_residual_of_a_basis_is_one_per_row():
