@@ -1,19 +1,22 @@
 """Named verification checks over the model, shared by the CLI and the test
 suite.
 
-Grid-scoped checks take one validated parameter point (through a context
-that holds the eigenbasis and its image table for that point); global checks
-carry their own fixed parameter sets. Every check reduces to a single
-scalar residual compared against a tolerance, with the convention that
-smaller is always better: negative controls (which must observe a LARGE
-residual) report the margin ratio threshold/observed against tolerance 1.
+Grid-scoped checks take the validated points of a grid together, through a
+context that holds one eigenbasis and one image table for all of them (the
+points stacked on an array axis), and return one residual per point; global
+checks carry their own fixed parameter sets and return one residual. Each
+residual is compared against a tolerance, with the convention that smaller
+is always better: negative controls (which must observe a LARGE residual)
+report the margin ratio threshold/observed against tolerance 1.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -33,7 +36,9 @@ from .oscillator import (
     RHO_SAMPLES,
     InvalidParametersError,
     ModelParams,
+    PointStack,
     RadialBasis,
+    degree_axis,
     derive_params,
     energy,
     hamiltonian_radial_N,
@@ -64,6 +69,7 @@ __all__ = [
     "CHECKS",
     "DEFAULT_GRID",
     "default_grid_points",
+    "run_grid",
     "run_point",
     "run_global",
     "NEGATIVE_CONTROL_THRESHOLD",
@@ -119,17 +125,24 @@ class CheckDef:
 
 
 class GridContext:
-    """Per-parameter-point cache of one eigenbasis and its image table.
+    """Grid-wide cache of one eigenbasis and its image table for every point.
+
+    The points are validated ModelParams, stacked on a points axis
+    (`PointStack`): every coupling is a (P, 1) column, and the states and
+    operators are read at the samples broadcast to shape (P, samples), so
+    one evaluation serves the whole grid and each value is the one the
+    point gets alone. A single ModelParams is the batch of one.
 
     The basis is R_0..R_top, top = max(n_max, min(n_max, 4) + 1, 3), which
     holds the rows of every reader: n <= n_max for the eigen checks, R_0..R_3
     for the superpositions, and R_n, R_{n+1} for ladder-action, n < top.
     `table()` maps the name of each operator of the pointwise identities to
-    its image of the whole basis at the samples, all from one read of the
-    basis (`images`), and every pointwise check reduces blocks of its rows,
-    the degree n being the leading array axis. `momentum-routes` reads its
-    own R_0, and the ladder checks their ladder-built rows; the coefficient
-    checks read no state, only the ladder scalars on arrays of degrees.
+    its image of the whole basis at the samples, shape (rows, P, samples),
+    all from one read of the basis (`images`), and every pointwise check
+    reduces blocks of its rows, the degree n being the leading array axis.
+    `momentum-routes` reads its own R_0, and the ladder checks their
+    ladder-built rows; the coefficient checks read no state, only the ladder
+    scalars on arrays of degrees. Each check returns one residual per point.
 
     Each row is a polynomial from the recurrence that also builds the
     Gauss-CDH rule, times an envelope, so `gram()` certifies the envelope;
@@ -137,16 +150,24 @@ class GridContext:
     certify the polynomial part.
     """
 
-    def __init__(self, params: ModelParams, n_max: int = 5, rho_samples=RHO_SAMPLES):
-        self.params = params
+    def __init__(self, points, n_max: int = 5, rho_samples=RHO_SAMPLES):
+        self.points = (points,) if isinstance(points, ModelParams) else tuple(points)
+        self.params = PointStack(self.points)
+        self.derived = self.params.derived
         self.n_max = int(n_max)
         self.top = max(self.n_max, min(self.n_max, 4) + 1, 3)
         self.rho_samples = tuple(rho_samples)
-        self.derived = derive_params(params)
+        pts = np.asarray(self.rho_samples, dtype=float)
+        # the samples as points of the stack, shape (P, samples)
+        self.samples = np.broadcast_to(pts, (len(self.points),) + pts.shape)
         self._basis: RadialBasis | None = None
         self._table: dict[str, np.ndarray] | None = None
         self._ladder_basis: RadialBasis | None = None
-        self._gram: tuple[float, float] | None = None
+        self._gram: tuple[np.ndarray, np.ndarray] | None = None
+
+    def point(self, i: int) -> GridContext:
+        """The batch of point i alone, with the same settings."""
+        return type(self)(self.points[i], self.n_max, self.rho_samples)
 
     def basis(self) -> RadialBasis:
         """R_0..R_top evaluated directly, stacked on a leading axis."""
@@ -156,7 +177,7 @@ class GridContext:
 
     def table(self) -> dict[str, np.ndarray]:
         """Operator name -> its image of R_0..R_top at the samples, one row
-        per state; "R" is the basis itself."""
+        per state, shape (rows, P, samples); "R" is the basis itself."""
         if self._table is None:
             p, sigma = self.params, self.derived.alpha + self.derived.nu
             H, A_plus, A_minus = hamiltonian_reduced(p), build_A_plus(p), build_A_minus(p)
@@ -176,8 +197,8 @@ class GridContext:
                 "A- H": compose(A_minus, H),
                 "H_N m": compose(hamiltonian_radial_N(p), multiplier),
             }
-            pts = np.asarray(self.rho_samples, dtype=float)
-            self._table = dict(zip(ops, images(tuple(ops.values()), self.basis().fn)(pts)))
+            self._table = dict(zip(ops, images(tuple(ops.values()), self.basis().fn)(
+                self.samples)))
         return self._table
 
     def ladder_basis(self) -> RadialBasis:
@@ -187,9 +208,10 @@ class GridContext:
             self._ladder_basis = generate_basis_via_ladder(self.params, min(4, self.n_max))
         return self._ladder_basis
 
-    def gram(self) -> tuple[float, float]:
-        """(max |G_M - I|, max |G_{M+1} - G_M|) for the Gram matrices G_M of
-        R_0..R_nmax by the M- and (M+1)-point Gauss-CDH rules, M = n_max + 1.
+    def gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """(max |G_M - I|, max |G_{M+1} - G_M|) at each point, for the Gram
+        matrices G_M of R_0..R_nmax by the M- and (M+1)-point Gauss-CDH
+        rules, M = n_max + 1.
 
         Both rules are exact for the true states, so the first entry is the
         orthonormality defect of the evaluated states and the second the
@@ -201,57 +223,65 @@ class GridContext:
             fns = [lambda x: rows(x)[:M]]
             G = cdh_gram(fns, self.derived.cdh, M)
             G_next = cdh_gram(fns, self.derived.cdh, M + 1)
-            self._gram = (float(np.max(np.abs(G - np.eye(M)))),
-                          float(np.max(np.abs(G_next - G))))
+            self._gram = (np.max(np.abs(G - np.eye(M)), axis=(-2, -1)),
+                          np.max(np.abs(G_next - G), axis=(-2, -1)))
         return self._gram
 
 
 # --------------------------------------------------------------------------
-# grid-scoped checks
+# grid-scoped checks: each returns one residual per point
 # --------------------------------------------------------------------------
 
 def _worst(residuals) -> float:
     """Largest residual (0 for none); unlike the builtin max, a nan anywhere
-    is kept, so _run_check reports it as an error instead of dropping it."""
+    is kept, so the runner reports it as an error instead of dropping it."""
     return float(np.max(residuals, initial=0.0))
 
 
-def _eigen_defects(ctx: GridContext, name: str, shift: float = 0.0) -> np.ndarray:
+def _worst_per_point(*parts) -> np.ndarray:
+    """Largest residual at each point. Each part holds residuals with the
+    points axis last (the sample axis already reduced); a part with no rows
+    gives 0, and a nan anywhere is kept, as in `_worst`."""
+    return reduce(np.maximum, (r.max(axis=tuple(range(r.ndim - 1)), initial=0.0)
+                               for r in map(np.asarray, parts)))
+
+
+def _eigen_defects(ctx: GridContext, name: str, shift=0.0) -> np.ndarray:
     """The eigen-residual of the named image against E_n + shift, one per
-    row n <= n_max of the table."""
+    row n <= n_max of the table and point: shape (n_max + 1, P)."""
     k = ctx.n_max + 1
     table = ctx.table()
     energies = ctx.basis().energies[:k] + shift
-    return image_residual(table[name][:k], table["R"][:k], energies[:, None])
+    return image_residual(table[name][:k], table["R"][:k], energies)
 
 
-def check_eigen_residual(ctx: GridContext) -> float:
-    return _worst(_eigen_defects(ctx, "H"))
+def check_eigen_residual(ctx: GridContext) -> np.ndarray:
+    return _worst_per_point(_eigen_defects(ctx, "H"))
 
 
-def check_eigen_negative_control(ctx: GridContext) -> float:
+def check_eigen_negative_control(ctx: GridContext) -> np.ndarray:
     """Perturb E by 0.1 omega0; the eigen-residual must EXCEED the threshold.
 
     Reported residual is threshold/observed so that pass <=> residual <= 1.
     """
     observed = _eigen_defects(ctx, "H", 0.1 * ctx.params.omega0)
     # np.min and np.maximum keep a nan, where the builtins would drop it
-    return NEGATIVE_CONTROL_THRESHOLD / np.maximum(np.min(observed), _GUARD)
+    return NEGATIVE_CONTROL_THRESHOLD / np.maximum(np.min(observed, axis=0), _GUARD)
 
 
-def check_orthonormality(ctx: GridContext) -> float:
+def check_orthonormality(ctx: GridContext) -> np.ndarray:
     return ctx.gram()[0]
 
 
-def check_orthonormality_quadrature_error(ctx: GridContext) -> float:
+def check_orthonormality_quadrature_error(ctx: GridContext) -> np.ndarray:
     return ctx.gram()[1]
 
 
-def check_factorization(ctx: GridContext) -> float:
-    return _worst(_eigen_defects(ctx, "factorized H"))
+def check_factorization(ctx: GridContext) -> np.ndarray:
+    return _worst_per_point(_eigen_defects(ctx, "factorized H"))
 
 
-def check_commutator_hamiltonian_ladder(ctx: GridContext) -> float:
+def check_commutator_hamiltonian_ladder(ctx: GridContext) -> np.ndarray:
     """[H, A+-] = +-2 omega0 A+- pointwise on eigenbasis superpositions: the
     fixed coefficient vectors on R_0..R_3 applied to those rows of the
     H A+-, A+- H and A+- images. The residual is relative to the largest of
@@ -260,15 +290,17 @@ def check_commutator_hamiltonian_ladder(ctx: GridContext) -> float:
     two_w = 2.0 * ctx.params.omega0
     resids = []
     for sign, a in ((1.0, "A+"), (-1.0, "A-")):
-        xy, yx, r = (np.tensordot(_SUPERPOSITIONS, table[name][:4], 1)
+        # one (2, 4) x (4, samples) product per point, as the point alone
+        # makes it (one product over every point's samples rounds otherwise)
+        xy, yx, r = ((_SUPERPOSITIONS @ table[name][:4].swapaxes(0, 1)).swapaxes(0, 1)
                      for name in (f"H {a}", f"{a} H", a))
         r = sign * two_w * r
         den = np.maximum(np.maximum(np.abs(xy), np.abs(yx)), np.abs(r)) + _GUARD
-        resids.append(np.max(np.abs(xy - yx - r) / den))
-    return _worst(resids)
+        resids.append(np.max(np.abs(xy - yx - r) / den, axis=-1))
+    return _worst_per_point(*resids)
 
 
-def check_commutator_ladder_pair(ctx: GridContext) -> float:
+def check_commutator_ladder_pair(ctx: GridContext) -> np.ndarray:
     """[A-, A+] on eigencomponents, in exact coefficient arithmetic:
 
         f(E_{n+1}) kappa_{n+1}^2 - f(E_n) kappa_n^2
@@ -276,91 +308,93 @@ def check_commutator_ladder_pair(ctx: GridContext) -> float:
     """
     lc = LadderCoefficients.from_params(ctx.params, ctx.derived)
     om0 = ctx.params.omega0
-    rung = np.arange(1, ctx.n_max + 2)
+    rung = degree_axis(ctx.params, ctx.n_max + 2, 1)
     # the n = 0 row subtracts f(E_0) kappa_0^2 = 0, so f(E_0) is never formed
-    lhs = np.diff(lc.f_energy(rung) * lc.kappa(rung) ** 2, prepend=0.0)
+    lhs = np.diff(lc.f_energy(rung) * lc.kappa(rung) ** 2, axis=0, prepend=0.0)
     e_n = energy(rung - 1, ctx.derived, om0)
     rhs = om0 * e_n * (1.0 + 2.0 / om0 ** 2 * (e_n ** 2 - 1.0))
-    return _worst(np.abs(lhs - rhs) / (np.abs(rhs) + _GUARD))
+    return _worst_per_point((np.abs(lhs - rhs) / (np.abs(rhs) + _GUARD))[..., 0])
 
 
-def check_su11_ladder_bracket(ctx: GridContext) -> float:
+def check_su11_ladder_bracket(ctx: GridContext) -> np.ndarray:
     """kappa_{n+1}^2 - kappa_n^2 = 2n + alpha + nu, exactly, n <= 50."""
-    kappa2 = LadderCoefficients.from_params(ctx.params, ctx.derived).kappa(np.arange(52)) ** 2
-    rhs = 2 * np.arange(51) + (ctx.derived.alpha + ctx.derived.nu)
-    return _worst(np.abs(np.diff(kappa2) - rhs) / np.abs(rhs))
+    n = degree_axis(ctx.params, 52)
+    kappa2 = LadderCoefficients.from_params(ctx.params, ctx.derived).kappa(n) ** 2
+    rhs = 2 * n[:-1] + (ctx.derived.alpha + ctx.derived.nu)
+    return _worst_per_point((np.abs(np.diff(kappa2, axis=0) - rhs) / np.abs(rhs))[..., 0])
 
 
-def check_casimir(ctx: GridContext) -> float:
+def check_casimir(ctx: GridContext) -> np.ndarray:
     """K0(K0 - 1) - K+ K- = s(s-1) I entry by entry on R_0..R_3, hence on
     every superposition of them."""
-    s = ctx.derived.s
-    target = s * (s - 1.0)
-    deviation = casimir(ctx.params, 4) - target * np.eye(4)
-    return _worst(np.abs(deviation) / (abs(target) + _GUARD))
+    worst = []
+    for p, s in zip(ctx.points, ctx.derived.s[:, 0].tolist()):
+        target = s * (s - 1.0)
+        deviation = casimir(p, 4) - target * np.eye(4)
+        worst.append(_worst(np.abs(deviation) / (abs(target) + _GUARD)))
+    return np.array(worst)
 
 
-def _pointwise_match(got, want) -> float:
-    """Max |got-want| / (|want| + 1e-3 max|want|) over rows of samples (last
-    axis), max|want| taken per row: relative, with a floor that keeps
-    accidental proximity to a polynomial node from dividing by ~0."""
+def _pointwise_match(got, want) -> np.ndarray:
+    """Max |got-want| / (|want| + 1e-3 max|want|) over the samples (last
+    axis), max|want| taken per row and point: relative, with a floor that
+    keeps accidental proximity to a polynomial node from dividing by ~0."""
     mod = np.abs(want)
     den = mod + 1e-3 * np.max(mod, axis=-1, keepdims=True) + _GUARD
-    return _worst(np.abs(got - want) / den)
+    return np.max(np.abs(got - want) / den, axis=-1)
 
 
-def check_ladder_action(ctx: GridContext) -> float:
+def check_ladder_action(ctx: GridContext) -> np.ndarray:
     """Pointwise K+ R_n vs kappa_{n+1} R_{n+1} and K- R_n vs kappa_n R_{n-1},
     n < top, with K+- the spectral scalars times the A+- blocks of the table;
     K- R_0 = 0 is measured against max|R_0|."""
     lc = LadderCoefficients.from_params(ctx.params, ctx.derived)
     table = ctx.table()
-    vals, n = table["R"], np.arange(ctx.top + 1)
-    kappa, scalar = lc.kappa(n)[:, None], lc.spectral_scalar(n)[:, None]
+    vals, n = table["R"], degree_axis(ctx.params, ctx.top + 1)
+    kappa, scalar = lc.kappa(n), lc.spectral_scalar(n)
     up = scalar[1:] * table["A+"][:-1]
     down = scalar[:-1] * table["A-"][:-1]
-    return _worst((
+    return _worst_per_point(
         _pointwise_match(up, kappa[1:] * vals[1:]),
-        np.max(np.abs(down[0])) / np.max(np.abs(vals[0])),
+        np.max(np.abs(down[0]), axis=-1) / np.max(np.abs(vals[0]), axis=-1),
         _pointwise_match(down[1:], kappa[1:-1] * vals[:-2]),
-    ))
+    )
 
 
-def check_state_generation(ctx: GridContext) -> float:
+def check_state_generation(ctx: GridContext) -> np.ndarray:
     """Ladder-generated R_n vs direct evaluation, pointwise, n <= 4."""
     rows = slice(1, min(4, ctx.n_max) + 1)
-    got = ctx.ladder_basis().fn(np.asarray(ctx.rho_samples))
-    return _pointwise_match(got[rows], ctx.table()["R"][rows])
+    got = ctx.ladder_basis().fn(ctx.samples)
+    return _worst_per_point(_pointwise_match(got[rows], ctx.table()["R"][rows]))
 
 
-def check_state_generation_norm(ctx: GridContext) -> float:
+def check_state_generation_norm(ctx: GridContext) -> np.ndarray:
     """|norm - 1| of ladder-generated states, n <= 4, by the Gauss-CDH rule
     with top + 1 nodes, exact for the true states up to n = top."""
     ladder = ctx.ladder_basis()
     G = cdh_gram([ladder.fn], ctx.derived.cdh, ladder.top + 1)
-    return _worst(np.abs(np.diag(G)[1:] - 1.0))
+    return _worst_per_point(np.abs(np.diagonal(G, axis1=-2, axis2=-1)[:, 1:] - 1.0).T)
 
 
-def check_reduction_chain(ctx: GridContext) -> float:
+def check_reduction_chain(ctx: GridContext) -> np.ndarray:
     """psi = multiplier * R satisfies the unreduced N-dimensional radial
     eigen-equation at the sample points, n <= 2: the H_N m rows of the
     table against E_n m R_n."""
     k = min(2, ctx.n_max) + 1
     # the table first: at a singular sample it raises before m divides by zero
     table = ctx.table()
-    m = planewaves.reduction_multiplier(np.asarray(ctx.rho_samples, dtype=float), ctx.params.N)
-    return _worst(image_residual(table["H_N m"][:k], m * table["R"][:k],
-                                 ctx.basis().energies[:k, None]))
+    m = planewaves.reduction_multiplier(ctx.samples, ctx.params.N)
+    return _worst_per_point(image_residual(table["H_N m"][:k], m * table["R"][:k],
+                                           ctx.basis().energies[:k]))
 
 
-def check_momentum_routes(ctx: GridContext) -> float:
+def check_momentum_routes(ctx: GridContext) -> np.ndarray:
     """Explicit momentum operator vs its commutator definition i[H, rho]."""
     p = ctx.params
     st = radial_wavefunction(p, 0)
-    explicit, comm = images((build_momentum(p), momentum_commutator(p)),
-                            st.fn)(np.asarray(ctx.rho_samples, dtype=float))
+    explicit, comm = images((build_momentum(p), momentum_commutator(p)), st.fn)(ctx.samples)
     den = np.abs(explicit) + _GUARD
-    return float(np.max(np.abs(explicit - comm) / den))
+    return _worst_per_point(np.max(np.abs(explicit - comm) / den, axis=-1))
 
 
 # --------------------------------------------------------------------------
@@ -513,6 +547,9 @@ def _global(check_id, tol, runner, description):
     return CheckDef(check_id, "global", tol, runner, description)
 
 
+# The registry. A grid runner takes a GridContext and returns one residual
+# per point, in the context's order; a global runner takes nothing and
+# returns one residual. Runners are looked up here at call time.
 CHECKS: dict[str, CheckDef] = {c.check_id: c for c in [
     _grid("eigen-residual", 1e-9, check_eigen_residual,
           "H R_n = E_n R_n pointwise, n <= n_max (certifies the polynomial part)"),
@@ -599,42 +636,86 @@ def _run_check(cid: str, snap: dict | None, tol: float, runner: Callable) -> Che
     entry with residual None, so the report never holds inf or nan."""
     start = time.perf_counter()
     try:
-        residual = float(runner())
-        reason = "" if math.isfinite(residual) else f"error: non-finite residual {residual}"
+        residual, reason = float(runner()), ""
     except Exception as exc:  # noqa: BLE001 - individual failures must not crash the run
-        reason = f"error: {type(exc).__name__}: {exc}"
-    runtime_ms = (time.perf_counter() - start) * 1e3
+        residual, reason = math.nan, f"error: {type(exc).__name__}: {exc}"
+    return _outcome(cid, snap, tol, residual, reason, (time.perf_counter() - start) * 1e3)
+
+
+def _outcome(cid, snap, tol, residual: float, reason: str, runtime_ms: float) -> CheckOutcome:
+    if not (reason or math.isfinite(residual)):
+        reason = f"error: non-finite residual {residual}"
     if reason:
         return CheckOutcome(cid, snap, None, tol, False, runtime_ms, status="error", reason=reason)
     return CheckOutcome(cid, snap, residual, tol, residual <= tol, runtime_ms)
 
 
-def run_point(point, check_ids, tolerances: dict[str, float] | None = None,
-              n_max: int = 5, rho_samples=RHO_SAMPLES) -> list[CheckOutcome]:
-    """Run the selected grid-scoped checks at one grid point.
+def _run_grid_check(cid: str, ctx: GridContext, snaps: list, tol: float) -> list[CheckOutcome]:
+    """One outcome per point of ctx, from one run of the check on the whole
+    grid; the runner is looked up at call time. If it raises on several
+    points, it runs again on each point as a batch of one, so every point
+    gets its own residual or its own error, and a non-finite residual is an
+    error of its point only. Each point is charged an equal share of the
+    batch's time, plus the time of its own run if it had one."""
+    start = time.perf_counter()
+    try:
+        residuals = np.asarray(CHECKS[cid].runner(ctx), dtype=float).reshape(len(snaps)).tolist()
+        reasons = [""] * len(snaps)
+    except Exception as exc:  # noqa: BLE001 - individual failures must not crash the run
+        if len(snaps) > 1:
+            share = (time.perf_counter() - start) * 1e3 / len(snaps)
+            return [dataclasses.replace(o, runtime_ms=o.runtime_ms + share)
+                    for i, snap in enumerate(snaps)
+                    for o in _run_grid_check(cid, ctx.point(i), [snap], tol)]
+        residuals, reasons = [math.nan], [f"error: {type(exc).__name__}: {exc}"]
+    share = (time.perf_counter() - start) * 1e3 / len(snaps)
+    return [_outcome(cid, snap, tol, r, why, share)
+            for snap, r, why in zip(snaps, residuals, reasons)]
 
-    Invalid parameter combinations produce one skipped outcome per check
-    with the validation reason; check exceptions become error entries.
+
+def run_grid(points, check_ids, tolerances: dict[str, float] | None = None,
+             n_max: int = 5, rho_samples=RHO_SAMPLES) -> list[CheckOutcome]:
+    """Run the selected grid-scoped checks at every grid point, one
+    evaluation per check for the whole grid.
+
+    Each point is validated on its own; an invalid one produces one skipped
+    outcome per check with the validation reason. The valid points are
+    stacked into one GridContext, and every check reduces to one outcome
+    per point (check exceptions become error entries of the points that
+    raise them). Outcomes come point by point, in the order of points.
     """
     tolerances = tolerances or {}
     grid_ids = [cid for cid in check_ids if CHECKS[cid].scope == "grid"]
-    snap = _snapshot(point)
-    try:
-        params = _make_params(point)
-    except InvalidParametersError as exc:
-        return [
-            CheckOutcome(cid, snap, None, None, None, 0.0,
-                         status="skipped", reason=f"skipped: {exc}")
-            for cid in grid_ids
-        ]
+    per_point: list[list[CheckOutcome]] = []
+    valid, snaps, slots = [], [], []
+    for point in points:
+        snap = _snapshot(point)
+        try:
+            valid.append(_make_params(point))
+        except InvalidParametersError as exc:
+            per_point.append([
+                CheckOutcome(cid, snap, None, None, None, 0.0,
+                             status="skipped", reason=f"skipped: {exc}")
+                for cid in grid_ids
+            ])
+            continue
+        snaps.append(snap)
+        slots.append([])
+        per_point.append(slots[-1])
+    if valid and grid_ids:
+        ctx = GridContext(valid, n_max=n_max, rho_samples=rho_samples)
+        for cid in grid_ids:
+            tol = tolerances.get(cid, CHECKS[cid].default_tol)
+            for slot, outcome in zip(slots, _run_grid_check(cid, ctx, snaps, tol)):
+                slot.append(outcome)
+    return [o for outcomes in per_point for o in outcomes]
 
-    ctx = GridContext(params, n_max=n_max, rho_samples=rho_samples)
-    outcomes = []
-    for cid in grid_ids:
-        cdef = CHECKS[cid]
-        tol = tolerances.get(cid, cdef.default_tol)
-        outcomes.append(_run_check(cid, snap, tol, lambda: cdef.runner(ctx)))
-    return outcomes
+
+def run_point(point, check_ids, tolerances: dict[str, float] | None = None,
+              n_max: int = 5, rho_samples=RHO_SAMPLES) -> list[CheckOutcome]:
+    """Run the selected grid-scoped checks at one grid point: the grid of
+    one point (`run_grid`)."""
+    return run_grid([point], check_ids, tolerances, n_max, rho_samples)
 
 
 def run_global(check_ids, tolerances: dict[str, float] | None = None) -> list[CheckOutcome]:

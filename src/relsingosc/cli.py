@@ -22,7 +22,8 @@ key.
 Exit codes: 0 all checks passed (or tables emitted), 1 verification
 failures, 2 configuration/validation errors. Grid points outside the valid
 parameter regime are reported as skipped, never crash the run. `verify`
-runs the grid points in order, in the calling thread.
+runs the whole grid in the calling thread, each check once for all valid
+points (`checks.run_grid`).
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import checks as checks_mod
-from .checks import CHECKS, default_grid_points, run_global, run_point
+from .checks import CHECKS, default_grid_points, run_global, run_grid
 from .oscillator import (
     RHO_SAMPLES,
     InvalidParametersError,
     ModelParams,
+    PointStack,
     derive_params,
     energy,
     nonrel_energy,
@@ -99,13 +101,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _list_of(kind):
-    """argparse type: comma-separated `kind` values, empty items skipped."""
+    """argparse type: comma-separated `kind` values, empty items skipped; a
+    list with no value is rejected (argparse names the flag)."""
     def parse(value):
         try:
-            return tuple(kind(v) for v in value.split(",") if v != "")
+            values = tuple(kind(v) for v in value.split(",") if v != "")
         except (ValueError, OverflowError) as exc:
             raise argparse.ArgumentTypeError(
                 f"expected comma-separated {kind.__name__} values, got {value!r}") from exc
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected at least one value, got {value!r}")
+        return values
     return parse
 
 
@@ -251,15 +257,23 @@ def _eval_csv(rho, vals):
 def cmd_eval(cfg: RunConfig) -> int:
     start, stop, count = cfg.grid
     rho = np.linspace(start, stop, count)
-    blocks = []
+    valid = []
     for (N, l, om0, g0) in _grid_points(cfg):
         try:
-            basis = radial_basis(ModelParams(N=N, l=l, omega0=om0, g0=g0), cfg.n_max)
+            p = ModelParams(N=N, l=l, omega0=om0, g0=g0)
+            derive_params(p)
         except InvalidParametersError as exc:
             print(f"# skipped N={N} l={l} omega0={om0} g0={g0}: {exc}", file=sys.stderr)
             continue
-        blocks.extend((f"N{N}_l{l}_n{n}_w{om0:g}_g{g0:g}", _eval_csv(rho, vals))
-                      for n, vals in enumerate(basis.fn(rho)))
+        valid.append(p)
+    blocks = []
+    if valid:
+        # one read of one stacked basis: values (n, point, rho)
+        rows = radial_basis(PointStack(valid), cfg.n_max).fn(
+            np.broadcast_to(rho, (len(valid),) + rho.shape))
+        for i, p in enumerate(valid):
+            blocks.extend((f"N{p.N}_l{p.l}_n{n}_w{p.omega0:g}_g{p.g0:g}", _eval_csv(rho, vals))
+                          for n, vals in enumerate(rows[:, i]))
     if not blocks:
         print("error: no valid states to evaluate", file=sys.stderr)
         return EXIT_CONFIG
@@ -285,10 +299,8 @@ def cmd_eval(cfg: RunConfig) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_verify(cfg: RunConfig) -> int:
-    outcomes = []
-    for pt in _grid_points(cfg):
-        outcomes.extend(run_point(pt, cfg.checks, cfg.tolerances,
-                                  cfg.n_max, cfg.rho_samples))
+    outcomes = run_grid(_grid_points(cfg), cfg.checks, cfg.tolerances,
+                        cfg.n_max, cfg.rho_samples)
     outcomes.extend(run_global(cfg.checks, cfg.tolerances))
 
     report = build_report(outcomes, cfg.echo())

@@ -207,9 +207,12 @@ def _read_once(f: AnalyticFunction, offset_lists, points: tuple, tables: Callabl
 
 
 def _constant(taus, cs) -> LinearOperator:
-    """The stencil sum_j cs[j] e^{taus[j] d/drho} with constant coefficients."""
+    """The stencil sum_j cs[j] e^{taus[j] d/drho} with constant coefficients;
+    a coefficient may be an array (one value per stacked parameter point)
+    that broadcasts against the trailing axes of the points."""
     c = np.array(cs, dtype=complex)
-    return LinearOperator(taus, lambda z: c.reshape((-1,) + (1,) * z.ndim))
+    lead, tail = c.shape[:1], c.shape[1:]
+    return LinearOperator(taus, lambda z: c.reshape(lead + (1,) * (z.ndim - len(tail)) + tail))
 
 
 def shift(tau) -> LinearOperator:

@@ -45,10 +45,12 @@ from .quadrature import DecayHint
 __all__ = [
     "ModelParams",
     "DerivedParams",
+    "PointStack",
     "RadialState",
     "RadialBasis",
     "InvalidParametersError",
     "derive_params",
+    "degree_axis",
     "energy",
     "nonrel_energy",
     "radial_wavefunction",
@@ -123,8 +125,39 @@ class DerivedParams:
         return specfun.CdhParams(self.alpha, self.nu, 0.5)
 
 
-def derive_params(p: ModelParams) -> DerivedParams:
-    """Compute alpha/nu from the couplings.
+class PointStack:
+    """Validated parameter points stacked on a points axis.
+
+    Each point is a ModelParams checked and derived on its own; the stack
+    holds their couplings (N, l, omega0, g0, L) and their DerivedParams
+    fields as (P, 1) columns, which broadcast against a trailing sample
+    axis. The state and operator builders (`radial_basis`,
+    `radial_wavefunction`, the Hamiltonians, and in `symmetry` the a+-,
+    A+-, momentum and ladder-basis builders) take a stack in place of a
+    ModelParams; their functions are then read at points of shape
+    (..., P, samples), point i at row i, so one evaluation serves the whole
+    grid and each point gets the digits it gets alone.
+    """
+
+    def __init__(self, points):
+        self.points = tuple(points)
+        if not self.points:
+            raise ValueError("a point stack needs at least one point")
+        rows = [derive_params(p) for p in self.points]
+
+        def column(values):
+            return np.array(list(values), dtype=float)[:, None]
+
+        self.N, self.l, self.omega0, self.g0, self.L = (
+            column(getattr(p, name) for p in self.points)
+            for name in ("N", "l", "omega0", "g0", "L"))
+        self.derived = DerivedParams(*(column(getattr(d, f) for d in rows)
+                                       for f in ("L", "alpha", "nu", "s", "D")))
+
+
+def derive_params(p: ModelParams | PointStack) -> DerivedParams:
+    """Compute alpha/nu from the couplings (a stack's are derived per point
+    when it is built, and returned as columns).
 
     With D = 1 - 8 g0 omega0^2 - 4 omega0^2 L(L+1),
 
@@ -138,6 +171,8 @@ def derive_params(p: ModelParams) -> DerivedParams:
     alpha radicand goes negative (oscillatory collapse regime) are rejected
     with a diagnostic rather than continued into the complex plane.
     """
+    if isinstance(p, PointStack):
+        return p.derived
     L = p.L
     w2 = p.omega0 ** 2
     D = 1.0 - 8.0 * p.g0 * w2 - 4.0 * w2 * L * (L + 1.0)
@@ -158,6 +193,13 @@ def derive_params(p: ModelParams) -> DerivedParams:
         raise InvalidParametersError(f"derived alpha = {alpha} not positive")
     return DerivedParams(L=L, alpha=float(alpha), nu=float(nu),
                          s=float((alpha + nu) / 2.0), D=float(D))
+
+
+def degree_axis(p: ModelParams | PointStack, stop: int, start: int = 0) -> np.ndarray:
+    """The degrees start..stop-1 as an integer array that broadcasts against
+    the parameters: shape (k,) for one point, (k, 1, 1) for a stack, whose
+    values then carry the points axis next to the samples."""
+    return np.arange(start, stop).reshape((-1,) + (1,) * np.ndim(p.omega0))
 
 
 def energy(n, d: DerivedParams, omega0: float):
@@ -202,7 +244,7 @@ def _state_rows(p: ModelParams, d: DerivedParams, lowest: int, top: int):
     axis. Only h_0 enters, in logs, so no state overflows where h_n does.
     """
     alpha, nu, cdh = d.alpha, d.nu, d.cdh
-    log_om0 = math.log(p.omega0)
+    log_om0 = specfun.per_point(math.log, p.omega0)
     log_scale = 0.5 * (_LN2 - specfun.cdh_log_norm(0, cdh))
 
     def ev(rho):
@@ -223,7 +265,10 @@ def norm_constant(n: int, d: DerivedParams) -> float:
     """C_n = sqrt(2/h_n), with h_n the continuous dual Hahn norm at (alpha, nu, 1/2),
     so that R_n = C_n S_n(rho^2) E(rho) sqrt(h_0 / 2). It does not enter the
     values of the states. Where h_n overflows a float it is formed from log h_n."""
-    log_h = specfun.cdh_log_norm(n, d.cdh)
+    return specfun.per_point(_norm_from_log, specfun.cdh_log_norm(n, d.cdh))
+
+
+def _norm_from_log(log_h: float) -> float:
     if log_h < _LOG_FLOAT_MAX:  # sqrt(2 / specfun.cdh_norm(n, d.cdh)), bit for bit
         return math.sqrt(2.0 / math.exp(log_h))
     return math.exp(0.5 * (_LN2 - log_h))
@@ -268,14 +313,16 @@ class RadialBasis:
         return len(self.energies) - 1
 
 
-def radial_basis(p: ModelParams, top: int) -> RadialBasis:
+def radial_basis(p: ModelParams | PointStack, top: int) -> RadialBasis:
     """R_0..R_top stacked: one evaluation computes the envelope once and
     every row in one pass of the recurrence, so row n equals
-    radial_wavefunction(p, n).fn bit for bit."""
+    radial_wavefunction(p, n).fn bit for bit. For a stack, the values at
+    points of shape (..., P, samples) are (top + 1, ..., P, samples) and
+    the energies (top + 1, P, 1)."""
     top = _check_degree(top)
     d = derive_params(p)
     return RadialBasis(
-        params=p, derived=d, energies=energy(np.arange(top + 1), d, p.omega0),
+        params=p, derived=d, energies=energy(degree_axis(p, top + 1), d, p.omega0),
         fn=AnalyticFunction(_state_rows(p, d, 0, top), STATE_STRIP_HALFWIDTH),
     )
 
@@ -317,8 +364,13 @@ def quasipotential_scaled(omega: float, g: float, N: int, lam: float) -> LinearO
         return (0.5 * omega ** 2 * r * (r + 1j * lam) ** 2 / shifted
                 + g / (r * shifted))
 
-    sing = (0.0, off) if N != 3 else (0.0,)
-    return compose(multiply_by(factor, singular_points=sing), shift(1j * lam))
+    return compose(multiply_by(factor, singular_points=_points(0.0, off)), shift(1j * lam))
+
+
+def _points(*values) -> tuple:
+    """Singular points as scalars: a column (one value per stacked point)
+    gives each of its distinct values."""
+    return tuple(v for x in values for v in (np.unique(x).tolist() if np.ndim(x) else (x,)))
 
 
 def quasipotential_op(p: ModelParams) -> LinearOperator:
@@ -336,7 +388,7 @@ def hamiltonian_radial_N(p: ModelParams) -> LinearOperator:
     sinh coefficient i/rho and centrifugal term l(l+1)/(2 rho^2).
     """
     N, l = p.N, p.l
-    cent = float(l * (l + N - 2))
+    cent = l * (l + N - 2)
 
     def sinh_coeff(z):
         return 1j * (N - 1) / (2.0 * z)
@@ -347,7 +399,7 @@ def hamiltonian_radial_N(p: ModelParams) -> LinearOperator:
     return op_sum(
         cosh_shift(),
         compose(multiply_by(sinh_coeff, singular_points=(0.0,)), sinh_shift()),
-        compose(multiply_by(cent_coeff, singular_points=(0.0, 1j * (N - 3) / 2.0)),
+        compose(multiply_by(cent_coeff, singular_points=_points(0.0, 1j * (N - 3) / 2.0)),
                 shift(1.0j)),
         quasipotential_op(p),
     )

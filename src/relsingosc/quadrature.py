@@ -185,14 +185,25 @@ def cdh_gauss_rule(M: int, p: CdhParams) -> tuple[np.ndarray, np.ndarray]:
     weight, where eigenvector (Golub-Welsch) weights are accurate only
     relative to the largest (Gautschi, Orthogonal Polynomials (2004), 1.4).
     The weights are returned as logs, so that h_0 may exceed a float.
+    Parameters given as (P, 1) columns give P rules, as arrays (P, M), from
+    one batched eigvalsh.
     """
     if M < 1 or M != int(M):
         raise ValueError("number of Gauss nodes must be a positive integer")
-    diag, off = cdh_jacobi(int(M), p)
-    # dense eigvalsh of an M x M matrix, M ~ n_max: scipy.linalg's tridiagonal
+    M = int(M)
+    diag, off = cdh_jacobi(M, p)
+    # dense eigvalsh of M x M matrices, M ~ n_max: scipy.linalg's tridiagonal
     # solver would cost its import (~6 MB resident) in every process
-    y = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    s = cdh_orthonormal(int(M) - 1, y, p)
+    lead = np.shape(diag[0])[:-1]
+    jacobi = np.zeros(lead + (M, M))
+    flat = jacobi.reshape(lead + (M * M,))  # a view: strided slices are the diagonals
+    flat[..., ::M + 1] = np.reshape(diag, (M, -1)).T.reshape(lead + (M,))
+    if M > 1:
+        band = np.reshape(off, (M - 1, -1)).T.reshape(lead + (M - 1,))
+        flat[..., 1::M + 1] = band
+        flat[..., M::M + 1] = band
+    y = np.linalg.eigvalsh(jacobi)
+    s = cdh_orthonormal(M - 1, y, p)
     return np.sqrt(y), cdh_log_norm(0, p) - np.log(np.sum(s * s, axis=0))
 
 
@@ -205,9 +216,13 @@ def cdh_gram(fns, p: CdhParams, M: int) -> np.ndarray:
     axes, a basis say); the f_i are all their rows in order. Exact when
     every conj(f_i) f_j / cdh_weight is a polynomial of degree <= 2M - 1 in
     x^2, as for the radial states R_0..R_{M-1} at (alpha, nu, 1/2); each
-    of fns is evaluated once, at the M nodes only.
+    of fns is evaluated once, at the M nodes only. With (P, 1) parameter
+    columns the nodes are (P, M), each function is read once at all of
+    them, and G holds one Gram matrix per point, shape (P, rows, rows).
     """
     x, log_lam = cdh_gauss_rule(M, p)
     weights = np.exp(log_lam + math.log(2.0 * math.pi) - cdh_log_weight(x, p))
-    vals = np.concatenate([np.asarray(f(x), dtype=complex).reshape(-1, len(x)) for f in fns])
-    return (np.conj(vals) * weights) @ vals.T
+    vals = np.concatenate([np.asarray(f(x), dtype=complex).reshape((-1,) + x.shape)
+                           for f in fns])
+    vals = np.moveaxis(vals, 0, -2)  # (rows, P, M) -> (P, rows, M)
+    return (np.conj(vals) * weights[..., None, :]) @ np.swapaxes(vals, -1, -2)

@@ -2,11 +2,14 @@
 degrees, and continuous dual Hahn polynomials.
 
 Everything here is pure and stateless. Functions accept complex scalars or
-numpy arrays and return the matching kind. Accuracy is the binding
-constraint (>= 12 significant digits on the verification domain), not
-speed; the complex gamma backend is scipy.special.loggamma, which meets
-that bar, and all ratio-type quantities are computed in log space so that
-huge/tiny gamma values never overflow intermediate results.
+numpy arrays and return the matching kind. Parameters (a gamma-ratio shift,
+a CDH triple) may also be arrays that broadcast against the argument, one
+value per stacked parameter point, and each point gets the digits it gets
+alone. Accuracy is the binding constraint (>= 12 significant digits on
+the verification domain), not speed; the complex gamma backend is
+scipy.special.loggamma, which meets that bar, and all ratio-type quantities
+are computed in log space so that huge/tiny gamma values never overflow
+intermediate results.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ __all__ = [
     "CdhParams",
     "GammaPoleError",
     "DegreeLimitError",
+    "per_point",
     "log_gamma",
     "gamma_ratio",
     "generalized_degree",
@@ -61,6 +65,17 @@ def _nonpositive_integer_mask(z: np.ndarray) -> np.ndarray:
     return (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
 
 
+def per_point(f, *args):
+    """f(*args) for scalars, and f at each entry of the arrays broadcast
+    together: a scalar function built on the math module, applied to a
+    stack of parameter points, gives every point the digits it gets alone
+    (numpy's kernels may differ from the math module's in the last bit)."""
+    for x in args:
+        if isinstance(x, np.ndarray) and x.ndim:
+            return np.frompyfunc(f, len(args), 1)(*args).astype(float)
+    return f(*args)
+
+
 def log_gamma(z) -> complex | np.ndarray:
     """Principal branch of log Gamma(z).
 
@@ -79,9 +94,17 @@ def gamma_ratio(z, delta) -> complex | np.ndarray:
     poles of both gammas. For non-integer delta, poles of Gamma(z) give a
     clean 0 (the 1/Gamma(z) factor wins) and everything else goes through
     log-gamma differences, so the ratio never overflows even when either
-    gamma alone would.
+    gamma alone would. An ndarray delta broadcasts against z, and each
+    entry takes the route its own value takes.
     """
     zz = _as_complex_array(z)
+    if isinstance(delta, np.ndarray) and delta.ndim:
+        d = delta.astype(complex, copy=False)
+        shape = np.broadcast_shapes(zz.shape, d.shape)
+        z = zz = zz if zz.shape == shape else np.broadcast_to(zz, shape)
+        if (d != d.flat[0]).any():
+            return _gamma_ratio_each(zz, d)
+        delta = d.flat[0]  # one delta for every entry: the scalar route
     d = complex(delta)
     if d.imag == 0.0 and d.real == np.floor(d.real) and abs(d.real) <= 256:
         k = int(d.real)
@@ -103,6 +126,27 @@ def gamma_ratio(z, delta) -> complex | np.ndarray:
     return _restore(np.asarray(out), z)
 
 
+def _gamma_ratio_each(zz: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """gamma_ratio with one delta per entry of zz (d broadcasts to zz): the
+    integer entries by the same products, the others by the same log-gamma
+    difference."""
+    whole = (d.imag == 0.0) & (d.real == np.floor(d.real)) & (np.abs(d.real) <= 256)
+    out = 0.0
+    if not whole.all():
+        pole = _nonpositive_integer_mask(zz)
+        safe = np.where(pole, 1.0, zz)
+        out = np.where(pole, 0.0, np.exp(_loggamma(safe + np.where(whole, 0.5, d)) - _loggamma(safe)))
+        if not whole.any():
+            return out
+    k = np.where(whole, d.real, 0.0).astype(int)
+    num, den = np.ones_like(zz), np.ones_like(zz)
+    for j in range(k.max()):
+        np.multiply(num, zz + j, out=num, where=j < k)
+    for j in range(1, 1 - k.min()):
+        np.multiply(den, zz - j, out=den, where=j <= -k)
+    return np.where(whole, num / den if k.min() < 0 else num, out)
+
+
 def generalized_degree(rho, delta) -> complex | np.ndarray:
     """Finite-difference power rho^(delta) = i^delta Gamma(-i rho + delta)/Gamma(-i rho).
 
@@ -112,10 +156,14 @@ def generalized_degree(rho, delta) -> complex | np.ndarray:
     functional equation rho^(delta+1) = rho^(delta) * i(-i rho + delta).
     """
     rr = _as_complex_array(rho)
-    d = complex(delta)
+    d = delta.astype(complex) if isinstance(delta, np.ndarray) and delta.ndim else complex(delta)
     phase = np.exp(1j * np.pi * d / 2)
     out = phase * _as_complex_array(gamma_ratio(-1j * rr, d))
     return _restore(out, rho)
+
+
+def _all(cond) -> bool:
+    return cond if isinstance(cond, bool) else bool(np.all(cond))
 
 
 @dataclass(frozen=True)
@@ -124,7 +172,8 @@ class CdhParams:
 
     The denominator Pochhammer factors (a+b)_k and (a+c)_k must be nonzero
     for all orders, which a+b > 0 and a+c > 0 guarantee. Positivity of all
-    three is only needed for the orthogonality weight/norm.
+    three is only needed for the orthogonality weight/norm. Each may be
+    an array, one triple per stacked parameter point.
     """
 
     a: float
@@ -132,13 +181,15 @@ class CdhParams:
     c: float
 
     def __post_init__(self):
-        if not (self.a + self.b > 0 and self.a + self.c > 0):
+        if not _all((self.a + self.b > 0) & (self.a + self.c > 0)):
             raise ValueError(
                 f"require a+b > 0 and a+c > 0, got a={self.a}, b={self.b}, c={self.c}"
             )
+        # checked here once: the kernels ask at every call
+        object.__setattr__(self, "_positive", _all((self.a > 0) & (self.b > 0) & (self.c > 0)))
 
     def require_positive(self):
-        if not (self.a > 0 and self.b > 0 and self.c > 0):
+        if not self._positive:
             raise ValueError(
                 f"operation requires a, b, c > 0, got ({self.a}, {self.b}, {self.c})"
             )
@@ -184,15 +235,24 @@ def cdh_poly(n: int, xsq, p: CdhParams) -> float | complex | np.ndarray:
     return total if np.ndim(xsq) else total.item()
 
 
-def cdh_jacobi(M: int, p: CdhParams) -> tuple[list[float], list[float]]:
+def cdh_jacobi(M: int, p: CdhParams) -> tuple[list | np.ndarray, list | np.ndarray]:
     """Diagonal d_0..d_{M-1} and off-diagonal b_1..b_{M-1} of the Jacobi matrix
-    of the continuous dual Hahn polynomials in y = x^2 (KLS 9.3), as floats:
+    of the continuous dual Hahn polynomials in y = x^2 (KLS 9.3), as lists
+    of floats (for array parameters, arrays with n as a leading axis):
     d_n = A_n + C_n - a^2 and b_n = sqrt(A_{n-1} C_n) = sqrt(h_n / h_{n-1}),
     with A_n = (n+a+b)(n+a+c) and C_n = n(n+b+c-1)."""
     p.require_positive()
     a, b, c = p.a, p.b, p.c
+    M = int(M)
+    if np.ndim(a) or np.ndim(b) or np.ndim(c):
+        # the same operations, on every point at once: n is a leading axis
+        n = np.arange(M).reshape((-1,) + (1,) * max(np.ndim(a), np.ndim(b), np.ndim(c)))
+        na, nbc = n + a, n + b + c
+        A = (na + b) * (na + c)
+        diag = A + n * (nbc - 1.0) - a * a
+        return diag, np.sqrt(A[:-1] * (n[:-1] + 1) * nbc[:-1])
     diag, off = [], []
-    for n in range(int(M)):
+    for n in range(M):
         A = (n + a + b) * (n + a + c)
         diag.append(A + n * (n + b + c - 1.0) - a * a)
         if n + 1 < M:
@@ -260,12 +320,15 @@ def cdh_log_norm(n: int, p: CdhParams) -> float:
         h_n = Gamma(n+a+b) Gamma(n+a+c) Gamma(n+b+c) n!
 
     Finite wherever the parameters are valid, also where h_n itself
-    overflows a float.
+    overflows a float; elementwise for array parameters.
     """
     p.require_positive()
     if n < 0 or n != int(n):
         raise ValueError("order must be a non-negative integer")
-    a, b, c = p.a, p.b, p.c
+    return per_point(_log_norm, n, p.a, p.b, p.c)
+
+
+def _log_norm(n, a, b, c) -> float:
     return (math.lgamma(n + a + b) + math.lgamma(n + a + c) + math.lgamma(n + b + c)
             + math.lgamma(n + 1.0))
 

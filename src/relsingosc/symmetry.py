@@ -51,6 +51,7 @@ from .oscillator import (
     ModelParams,
     RadialBasis,
     RadialState,
+    degree_axis,
     derive_params,
     energy,
     hamiltonian_reduced,
@@ -109,10 +110,9 @@ class LadderCoefficients:
         val = self.omega0 ** 2 * (2 * n + 2 * self.alpha - 1.0) * (2 * n + 2 * self.nu - 1.0)
         bad = np.flatnonzero(val <= 0)
         if bad.size:
-            k, v = np.ravel(n)[bad[0]], np.ravel(val)[bad[0]]
-            raise LadderDiagnosticError(
-                f"f(E_{k}) = {v:.6g} <= 0 for alpha={self.alpha}, nu={self.nu}"
-            )
+            k, v, alpha, nu = (np.broadcast_to(x, np.shape(val)).flat[bad[0]]
+                               for x in (n, val, self.alpha, self.nu))
+            raise LadderDiagnosticError(f"f(E_{k}) = {v:.6g} <= 0 for alpha={alpha}, nu={nu}")
         return val
 
     def spectral_scalar(self, n):
@@ -276,6 +276,7 @@ def su11_generators(p: ModelParams, size: int) -> tuple[np.ndarray, np.ndarray, 
     """
     if size < 1 or size != int(size):
         raise ValueError("size must be a positive integer")
+    size = int(size)
     d = derive_params(p)
     k_plus = np.diag(LadderCoefficients.from_params(p, d).kappa(np.arange(1, size)), -1)
     return k_plus, k_plus.T, np.diag(np.arange(size) + d.s)
@@ -285,7 +286,7 @@ def casimir(p: ModelParams, size: int) -> np.ndarray:
     """The Casimir K0(K0 - 1) - K+ K- as a size x size matrix; it equals
     s(s-1) I (K- acts first, so the truncation of K+ never shows)."""
     k_plus, k_minus, k0 = su11_generators(p, size)
-    return k0 @ (k0 - np.eye(size)) - k_plus @ k_minus
+    return k0 @ (k0 - np.eye(len(k0))) - k_plus @ k_minus
 
 
 def k_raise_pointwise(state: RadialState) -> AnalyticFunction:
@@ -333,7 +334,8 @@ def generate_basis_via_ladder(p: ModelParams, top: int) -> RadialBasis:
     one evaluation reads R_0 once and builds the table of (A+)^n from that
     of (A+)^(n-1). (A+)^n has at most 4n + 1 offsets, and the shift budget
     limits the pointwise route to top <= MAX_RUNGS. The energies are those
-    of the direct states.
+    of the direct states. A stack of points gives the rows of every point
+    at once, laid out as `radial_basis` lays them out.
     """
     if top < 0 or top != int(top):
         raise ValueError("top must be a non-negative integer")
@@ -343,16 +345,17 @@ def generate_basis_via_ladder(p: ModelParams, top: int) -> RadialBasis:
     ground = radial_wavefunction(p, 0)
     d = ground.derived
     lc = LadderCoefficients.from_params(p, d)
-    rung = np.arange(1, top + 1)
-    prefs = np.cumprod(np.concatenate(([1.0], lc.spectral_scalar(rung) / lc.kappa(rung))))
+    rung = degree_axis(p, top + 1, 1)
+    steps = lc.spectral_scalar(rung) / lc.kappa(rung)
+    prefs = np.cumprod(np.concatenate((np.ones((1,) + steps.shape[1:]), steps)), axis=0)
     rungs = powers(build_A_plus(p), top, ground.fn)
 
     def ev(z):
         rows = rungs.fn(z)
-        return prefs.reshape((-1,) + (1,) * (rows.ndim - 1)) * rows
+        return prefs.reshape(prefs.shape + (1,) * (rows.ndim - prefs.ndim)) * rows
 
     return RadialBasis(
-        params=p, derived=d, energies=energy(np.arange(top + 1), d, p.omega0),
+        params=p, derived=d, energies=energy(degree_axis(p, top + 1), d, p.omega0),
         fn=AnalyticFunction(ev, rungs.strip_halfwidth, rungs.singular_points),
     )
 

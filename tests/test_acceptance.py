@@ -13,7 +13,7 @@ from relsingosc.checks import (
     NEGATIVE_CONTROL_THRESHOLD,
     default_grid_points,
     run_global,
-    run_point,
+    run_grid,
 )
 
 GRID_CHECK_IDS = tuple(cid for cid, c in CHECKS.items() if c.scope == "grid")
@@ -22,9 +22,7 @@ GLOBAL_CHECK_IDS = tuple(cid for cid, c in CHECKS.items() if c.scope == "global"
 
 @pytest.fixture(scope="module")
 def outcomes():
-    all_outcomes = []
-    for point in default_grid_points():
-        all_outcomes.extend(run_point(point, GRID_CHECK_IDS))
+    all_outcomes = run_grid(default_grid_points(), GRID_CHECK_IDS)
     all_outcomes.extend(run_global(GLOBAL_CHECK_IDS))
     ran = [o for o in all_outcomes if o.status == "ran"]
     skipped = [o for o in all_outcomes if o.status == "skipped"]

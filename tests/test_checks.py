@@ -4,12 +4,21 @@ import numpy as np
 import pytest
 
 from relsingosc import checks, oscillator, planewaves, symmetry
-from relsingosc.checks import CHECKS, GridContext, _run_check
+from relsingosc.checks import CHECKS, GridContext, _run_grid_check
 from relsingosc.operators import (AnalyticFunction, compose, identity_op, images, multiply_by,
                                   op_sum, scale)
 from relsingosc.oscillator import ModelParams
+from relsingosc.report import build_report
 
 P = ModelParams(N=3, l=1, omega0=0.2, g0=1.0)
+# the column of the default grid that is valid in every dimension
+COLUMN = [(N, 1, 0.05, 0.1) for N in (2, 3, 5, 8)]
+GRID_IDS = [c for c in CHECKS if CHECKS[c].scope == "grid"]
+
+
+def _entries(outcomes):
+    return [{k: v for k, v in dataclasses.asdict(o).items() if k != "runtime_ms"}
+            for o in outcomes]
 
 
 class NanStates(GridContext):
@@ -28,7 +37,7 @@ def test_nan_residuals_become_error_entries(cid):
     ctx = NanStates(P)
     cdef = CHECKS[cid]
     with np.errstate(invalid="ignore"):
-        out = _run_check(cid, None, cdef.default_tol, lambda: cdef.runner(ctx))
+        out, = _run_grid_check(cid, ctx, [None], cdef.default_tol)
     assert out.status == "error"
     assert out.residual is None and out.passed is False
     assert "nan" in out.reason
@@ -74,13 +83,20 @@ def test_point_evaluates_states_in_few_stacked_calls(monkeypatch):
     state = counting(oscillator.radial_wavefunction, state_reads)
     monkeypatch.setattr(checks, "radial_wavefunction", state)
     monkeypatch.setattr(symmetry, "radial_wavefunction", state)
-    outcomes = checks.run_point((3, 1, 0.2, 1.0), [c for c in CHECKS if CHECKS[c].scope == "grid"])
-    assert all(o.passed for o in outcomes)
-    assert 0 < len(basis_reads) + len(state_reads) <= 6
     samples = np.asarray(oscillator.RHO_SAMPLES)
-    at_samples = [z for z in basis_reads
-                  if z.shape[-1:] == samples.shape and np.all(z.real == samples)]
-    assert len(at_samples) == 1
+    # one point, then the four points of the verify-grid column, which are
+    # read together: the same reads, each over every point
+    for run in (lambda: checks.run_point((3, 1, 0.2, 1.0), GRID_IDS),
+                lambda: checks.run_grid(COLUMN, GRID_IDS)):
+        basis_reads.clear()
+        state_reads.clear()
+        outcomes = run()
+        assert all(o.passed for o in outcomes)
+        assert 0 < len(basis_reads) + len(state_reads) <= 6
+        at_samples = [z for z in basis_reads
+                      if z.shape[-1:] == samples.shape and np.all(z.real == samples)]
+        assert len(at_samples) == 1
+    assert at_samples[0].shape[-2:] == (len(COLUMN),) + samples.shape
 
 
 def test_table_rows_are_the_images_of_their_operators():
@@ -104,7 +120,7 @@ def test_table_rows_are_the_images_of_their_operators():
         "A- H": compose(A_minus, H),
         "H_N m": compose(oscillator.hamiltonian_radial_N(p), m),
     }
-    ctx = GridContext(P)
+    ctx = GridContext(P)  # the batch of one: rows (n, point, sample)
     table = ctx.table()
     assert list(table) == list(ops)
     pts = np.asarray(ctx.rho_samples)
@@ -112,7 +128,7 @@ def test_table_rows_are_the_images_of_their_operators():
         want = images([op], ctx.basis().fn)(pts)[0]
         assert want.shape == (ctx.top + 1, len(pts))
         row_max = np.max(np.abs(want), axis=-1, keepdims=True)
-        assert np.all(np.abs(table[name] - want) <= 1e-14 * row_max), name
+        assert np.all(np.abs(table[name][:, 0] - want) <= 1e-14 * row_max), name
 
 
 def test_ladder_action_covers_every_row_below_top(monkeypatch):
@@ -130,3 +146,38 @@ def test_ladder_action_covers_every_row_below_top(monkeypatch):
     assert ctx.top == 30
     assert CHECKS["ladder-action"].runner(ctx) < CHECKS["ladder-action"].default_tol
     assert rungs == set(range(31))
+
+
+def test_grid_sweep_equals_the_point_sweeps():
+    # the whole default grid in one evaluation per check gives every entry,
+    # residual bit for bit, that the points give one at a time
+    points = checks.default_grid_points()
+    grid = checks.run_grid(points, GRID_IDS)
+    alone = [o for pt in points for o in checks.run_point(pt, GRID_IDS)]
+    assert _entries(grid) == _entries(alone)
+    assert len(grid) == 72 * len(GRID_IDS)
+    assert sum(o.status == "ran" for o in grid) == 40 * len(GRID_IDS)
+    assert build_report(grid, {}).canonical_hash() == build_report(alone, {}).canonical_hash()
+
+
+def test_a_point_that_raises_gets_its_own_error_entries(monkeypatch):
+    # the basis of N = 5 raises, in any batch that holds it: the batched
+    # checks that read the basis run again point by point, so only N = 5
+    # gets error entries, with its own reason, and no other value moves
+    clean = checks.run_grid(COLUMN, GRID_IDS)
+    build = checks.radial_basis
+
+    def failing(p, top):
+        if any(q.N == 5 for q in p.points):
+            raise RuntimeError("no basis at N = 5")
+        return build(p, top)
+
+    monkeypatch.setattr(checks, "radial_basis", failing)
+    hit = checks.run_grid(COLUMN, GRID_IDS)
+    errors = [o for o in hit if o.status == "error"]
+    assert {o.params["N"] for o in errors} == {5}
+    assert {o.check_id for o in errors} >= {"eigen-residual", "orthonormality", "ladder-action"}
+    assert all(o.reason == "error: RuntimeError: no basis at N = 5" for o in errors)
+    assert _entries(o for o in hit if o.status != "error") == \
+        _entries(o for o, h in zip(clean, hit) if h.status != "error")
+    assert all(o.runtime_ms > 0 for o in hit)

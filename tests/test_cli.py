@@ -121,15 +121,17 @@ def test_eval_reads_one_basis_per_valid_point(capsys, monkeypatch):
     calls = []
 
     def counting(p, top):
-        basis = radial_basis(p, top)  # raises at an invalid point
-        calls.append((p.omega0, top))
+        basis = radial_basis(p, top)
+        calls.append((tuple(q.omega0 for q in p.points), top))
         return basis
 
     monkeypatch.setattr(cli, "radial_basis", counting)
     code, out, err = run(capsys, ["eval", "--dims", "3", "--l", "0", "--omega0", "0.05,0.2,1.0",
                                   "--g0", "1.0", "--n-max", "2", "--grid", "0.5:10:7"])
     assert code == 0
-    assert calls == [(0.05, 2), (0.2, 2)]  # omega0 = 1 is outside the real-spectrum regime
+    # one stacked basis for every valid point; omega0 = 1 is outside the
+    # real-spectrum regime
+    assert calls == [((0.05, 0.2), 2)]
     assert err.count("# skipped") == 1 and "# skipped N=3 l=0 omega0=1.0" in err
     rho = np.linspace(0.5, 10.0, 7)
     want = ""
@@ -355,6 +357,18 @@ def test_config_errors_exit_2(capsys):
         code, _, err = run(capsys, argv)
         assert code == 2, argv
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["checks", "dims", "l", "omega0", "g0", "rho"])
+def test_empty_list_flag_exits_2_naming_it(flag, tmp_path, capsys):
+    # an empty list would run nothing, or only the global checks, and exit 0
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({flag: []}))
+    for argv in (["verify", f"--{flag}="], ["verify", "--config", str(path)]):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and f"argument --{flag}:" in err, err
 
 
 def test_list_checks(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import loggamma
 
-from relsingosc import oscillator, quadrature
+from relsingosc import oscillator, planewaves, quadrature
 from relsingosc.operators import AnalyticFunction, compose, multiply_by, op_sum, shift, sinh_shift, cosh_shift
 from relsingosc.oscillator import (
     RHO_SAMPLES,
@@ -406,6 +406,28 @@ def test_basis_rows_are_the_states_bit_for_bit(point):
             state = radial_wavefunction(p, n)
             np.testing.assert_array_equal(rows[n], state.fn(z))
             assert basis.energies[n] == state.energy
+
+
+def test_stacked_basis_rows_are_each_points_rows_bit_for_bit():
+    # N = 3 and 5 make the reduction multiplier's degree an integer, N = 2
+    # and 8 a half-integer: each point takes its own route in one stack
+    points = [ModelParams(*pt) for pt in ((2, 1, 0.05, 0.1), (3, 0, 0.2, 1.0),
+                                          (5, 1, 0.01, 0.1), (8, 2, 0.05, 1.0))]
+    stack = oscillator.PointStack(points)
+    basis = oscillator.radial_basis(stack, 6)
+    assert basis.energies.shape == (7, 4, 1)
+    real = np.asarray(RHO_SAMPLES)
+    shifted = real[None, :] + 1j * np.arange(-4, 5)[:, None, None]  # (9, 1, samples)
+    for z in (real, shifted):
+        zz = np.broadcast_to(z, z.shape[:-2] + (4,) + real.shape)
+        rows = basis.fn(zz)
+        mult = planewaves.reduction_multiplier(zz, stack.N)
+        for i, p in enumerate(points):
+            alone = oscillator.radial_basis(p, 6)
+            np.testing.assert_array_equal(rows[..., i, :], alone.fn(zz[..., i, :]))
+            np.testing.assert_array_equal(basis.energies[:, i, 0], alone.energies)
+            np.testing.assert_array_equal(
+                mult[..., i, :], planewaves.reduction_multiplier(zz[..., i, :], p.N))
 
 
 def test_eigen_residual_of_a_basis_is_one_per_row():

@@ -279,6 +279,14 @@ def test_casimir_values():
     assert not np.any(c - np.diag(np.diag(c)))
 
 
+def test_casimir_takes_a_float_size():
+    # su11_generators accepts a whole float size, so casimir must too
+    np.testing.assert_array_equal(casimir(P, 4.0), casimir(P, 4))
+    assert all(m.shape == (4, 4) for m in su11_generators(P, 4.0))
+    with pytest.raises(ValueError):
+        casimir(P, 4.5)
+
+
 def test_spectrum_spacing_via_casimir():
     # recover s from K^2 = s(s-1), then check E_0 = 2 omega0 s
     q = casimir(P, 1)[0, 0]
