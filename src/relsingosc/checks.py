@@ -49,7 +49,7 @@ from .oscillator import (
     radial_basis,
     radial_wavefunction,
 )
-from .quadrature import DecayHint, cdh_gram, integrate_halfline
+from .quadrature import DEFAULT_RHO_MAX, cdh_gram, halfline_rule
 from .symmetry import (
     LadderCoefficients,
     build_a_minus,
@@ -440,23 +440,20 @@ def _planewave_samples():
     return [(rho, th) for rho in (1.0, 3.0, 10.0) for th in thetas]
 
 
+def _planewave_columns(chis) -> planewaves.PlaneWaveParams:
+    """Every (N, chi) for N in (2, 3, 5) and chi in chis, as (P, 1) columns."""
+    N, chi = np.meshgrid((2, 3, 5), chis, indexing="ij")
+    return planewaves.PlaneWaveParams(chi=chi.reshape(-1, 1), N=N.reshape(-1, 1))
+
+
 def check_planewave_eigenvalue() -> float:
-    samples = _planewave_samples()
-    resids = []
-    for N in (2, 3, 5):
-        for chi in (0.2, 0.5, 1.0):
-            pw = planewaves.PlaneWaveParams(chi=chi, N=N)
-            resids.append(planewaves.free_hamiltonian_residual(pw, samples))
-    return _worst(resids)
+    pw = _planewave_columns((0.2, 0.5, 1.0))
+    return _worst(planewaves.free_hamiltonian_residual(pw, _planewave_samples()))
 
 
 def check_planewave_eigenvalue_rest() -> float:
-    samples = _planewave_samples()
-    resids = []
-    for N in (2, 3, 5):
-        pw = planewaves.PlaneWaveParams(chi=0.0, N=N)
-        resids.append(planewaves.free_hamiltonian_residual(pw, samples))
-    return _worst(resids)
+    pw = _planewave_columns((0.0,))
+    return _worst(planewaves.free_hamiltonian_residual(pw, _planewave_samples()))
 
 
 def check_planewave_nonrel_limit() -> float:
@@ -496,31 +493,42 @@ def check_gamma_identities() -> float:
     return _worst((np.max(func), np.max(refl)))
 
 
-def check_cdh_norms() -> float:
-    """Closed-form orthogonality norms h_n, n <= 4, vs adaptive Gauss-Legendre.
+# The fixed inputs of `cdh-norms`: three CDH triples as (3, 1) columns, and
+# the degrees n <= _CDH_NORM_TOP.
+_CDH_NORM_TRIPLES = specfun.CdhParams(
+    np.array([[0.5], [1.3], [2.603388468743137]]),
+    np.array([[0.5], [2.1], [10.301824164386872]]),
+    np.array([[0.5], [0.4], [0.5]]),
+)
+_CDH_NORM_TOP = 4
 
-    One vector integral per parameter triple, [S_n(x^2)^2 for n <= 4] times
-    w(x) / 2 pi under the n = 4 envelope, each entry converged on its own.
-    It uses the real `cdh_poly` sum and Legendre panels, so it certifies h_n
-    independently of the recurrence behind the states and the Gauss-CDH rule.
+
+def _cdh_norm_integrand(x) -> np.ndarray:
+    """S_n(x^2)^2 w(x) / 2 pi for n <= _CDH_NORM_TOP at each triple of
+    _CDH_NORM_TRIPLES, shape (degrees, triples, len(x)): one cdh_poly call
+    per degree and one cdh_weight call."""
+    p = _CDH_NORM_TRIPLES
+    polys = np.stack([specfun.cdh_poly(n, x ** 2, p) for n in range(_CDH_NORM_TOP + 1)])
+    return polys ** 2 * specfun.cdh_weight(x, p) / (2 * math.pi)
+
+
+def check_cdh_norms() -> float:
+    """Closed-form orthogonality norms h_n, n <= 4, vs one fixed Gauss-Legendre rule.
+
+    The rule has width-1 panels of 32 nodes on [0, DEFAULT_RHO_MAX]; that
+    truncation is what `choose_rho_max` gives the n = 4 envelope of the
+    largest triple. It is the first level of the refinement loop of
+    `integrate_halfline`, and its convergence for these fixed inputs (every
+    entry against the halved-panel rule) is shown once, in the tests,
+    instead of on every run. It uses the real `cdh_poly` sum, so it
+    certifies h_n independently of the recurrence behind the states and the
+    Gauss-CDH rule.
     """
-    triples = (
-        specfun.CdhParams(0.5, 0.5, 0.5),
-        specfun.CdhParams(1.3, 2.1, 0.4),
-        specfun.CdhParams(2.603388468743137, 10.301824164386872, 0.5),
-    )
-    degrees = range(5)
-    resids = []
-    for p in triples:
-        hint = DecayHint(power=2 * (p.a + p.b + p.c) + 4 * degrees[-1], rate=math.pi)
-        vals, _ = integrate_halfline(
-            lambda x: np.array([specfun.cdh_poly(n, x ** 2, p) for n in degrees]) ** 2
-            * specfun.cdh_weight(x, p) / (2 * math.pi),
-            hint,
-        )
-        closed = np.array([specfun.cdh_norm(n, p) for n in degrees])
-        resids.extend(np.abs(vals / closed - 1.0))
-    return _worst(resids)
+    rule = halfline_rule(DEFAULT_RHO_MAX)
+    vals = np.sum(rule.weights * _cdh_norm_integrand(rule.nodes), axis=-1)
+    closed = np.stack([specfun.cdh_norm(n, _CDH_NORM_TRIPLES)[:, 0]
+                       for n in range(_CDH_NORM_TOP + 1)])
+    return _worst(np.abs(vals / closed - 1.0))
 
 
 def check_reduction_weight_identity() -> float:
@@ -598,8 +606,9 @@ CHECKS: dict[str, CheckDef] = {c.check_id: c for c in [
     _global("gamma-identities", 1e-11, check_gamma_identities,
             "gamma functional equation and reflection formula at random points"),
     _global("cdh-norms", 1e-8, check_cdh_norms,
-            "closed-form polynomial norms h_n vs Gauss-Legendre quadrature of the "
-            "float cdh_poly sum, n <= 4 (independent of the recurrence)"),
+            "closed-form polynomial norms h_n vs one fixed Gauss-Legendre rule on "
+            "the float cdh_poly sum, n <= 4, three triples (independent of the "
+            "recurrence)"),
     _global("reduction-weight-identity", 1e-12, check_reduction_weight_identity,
             "w_3 = 1 and |multiplier|^2 w_N rho^(N-1) = 1"),
 ]}

@@ -36,24 +36,27 @@ THETA_WINDOW = (0.3, np.pi - 0.3)
 
 @dataclass(frozen=True)
 class PlaneWaveParams:
-    """Rapidity and dimension of a polar-axis-aligned plane wave."""
+    """Rapidity and dimension of a polar-axis-aligned plane wave. Each may be
+    a (P, 1) column, one wave per stacked point."""
 
     chi: float
     N: int = 3
 
     def __post_init__(self):
-        if not np.isfinite(self.chi):
+        if not np.all(np.isfinite(self.chi)):
             raise ValueError("rapidity must be finite")
-        if self.N < 2:
+        if np.any(np.less(self.N, 2)):
             raise ValueError("plane waves need N >= 2")
 
     @property
-    def momentum(self) -> float:
-        return float(np.sinh(self.chi))
+    def momentum(self) -> float | np.ndarray:
+        out = np.sinh(self.chi)
+        return out if np.ndim(out) else float(out)
 
     @property
-    def energy(self) -> float:
-        return float(np.cosh(self.chi))
+    def energy(self) -> float | np.ndarray:
+        out = np.cosh(self.chi)
+        return out if np.ndim(out) else float(out)
 
 
 def _xi(N: int, chi: float, rho, costheta):
@@ -87,9 +90,10 @@ def _angular_laplacian(N: int, chi: float, rho, theta, h: float):
 
 
 def free_hamiltonian_residual(pw: PlaneWaveParams, samples,
-                              eigenvalue: float | None = None) -> float:
+                              eigenvalue: float | None = None) -> float | np.ndarray:
     """Max relative residual of (H0 - E) xi over (rho, theta) samples, all
-    evaluated at once.
+    evaluated at once: a float, or one per point, shape (P,), when N and chi
+    are (P, 1) columns.
 
     H0 in the spherical system:
 
@@ -98,8 +102,8 @@ def free_hamiltonian_residual(pw: PlaneWaveParams, samples,
 
     Radial displacements are exact; the angular Laplacian (evaluated at the
     shifted radial argument) uses finite differences. E defaults to the
-    true eigenvalue cosh chi; passing a perturbed value turns this into a
-    negative control.
+    true eigenvalue cosh chi; passing a perturbed value (a float, or a
+    (P, 1) column) turns this into a negative control.
     """
     N, chi = pw.N, pw.chi
     e_val = np.cosh(chi) if eigenvalue is None else eigenvalue
@@ -115,7 +119,8 @@ def free_hamiltonian_residual(pw: PlaneWaveParams, samples,
     lap = _angular_laplacian(N, chi, rho + 1j, theta, ANGLE_STEP)
     val = val - lap / (rho * (2.0 * rho - 1j * (N - 3)))
     ref = e_val * _xi(N, chi, rho, ct)
-    return float(np.max(np.abs(val - ref) / np.abs(ref), initial=0.0))  # keeps a nan
+    worst = np.max(np.abs(val - ref) / np.abs(ref), axis=-1, initial=0.0)  # keeps a nan
+    return worst if worst.ndim else float(worst)
 
 
 def weight_wN(rho, N: int):

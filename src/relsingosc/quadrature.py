@@ -14,15 +14,17 @@ Two independent rules live here.
   certifies the envelope against `cdh_weight` and h_0 (`orthonormality`).
   `eigen-residual` and `state-generation` certify the polynomial part, and
   `cdh-norms` the norms h_n through `cdh_poly` and the rule below.
-* Composite Gauss-Legendre panels on [0, rho_max] with one adaptive
-  refinement loop (`integrate_halfline`, `gram_matrix`). The integrands in
-  scope (polynomial-times-weight profiles, wavefunction products) are
-  smooth with a removable zero at the origin and power-times-exponential
-  tails, so fixed-width panels plus an envelope-driven truncation point
-  beat variable transformations. Panels are doubled until every entry of
-  the result has converged, and the last change is reported as the error
-  estimate. It assumes nothing about the integrand and stays the
-  independent reference (`cdh-norms` and the tests).
+* Composite Gauss-Legendre panels on [0, rho_max] (`halfline_rule`). The
+  integrands in scope (polynomial-times-weight profiles, wavefunction
+  products) are smooth with a removable zero at the origin and
+  power-times-exponential tails, so fixed-width panels plus an
+  envelope-driven truncation point beat variable transformations.
+  `integrate_halfline` and `gram_matrix` double the panels until every
+  entry of the result has converged and report the last change as the
+  error estimate; they assume nothing about the integrand and are the
+  independent reference of the tests and demos. `cdh-norms` integrates its
+  fixed inputs on one fixed rule, the loop's first level, whose convergence
+  under that same test is shown once in the tests.
 """
 
 from __future__ import annotations

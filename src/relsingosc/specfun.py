@@ -220,9 +220,11 @@ def cdh_poly(n: int, xsq, p: CdhParams) -> float | complex | np.ndarray:
     x2 = np.asarray(xsq)
     x2 = x2.astype(complex if np.iscomplexobj(x2) else float)
     a, b, c = p.a, p.b, p.c
-    total = np.zeros_like(x2)
-    comp = np.zeros_like(x2)  # Kahan carry
-    term = np.ones_like(x2)
+    # parameter columns: S_0 spans them too
+    shape = np.broadcast_shapes(x2.shape, np.shape(a), np.shape(b), np.shape(c))
+    total = np.zeros(shape, x2.dtype)
+    comp = np.zeros(shape, x2.dtype)  # Kahan carry
+    term = np.ones(shape, x2.dtype)
     for k in range(n + 1):
         y = term - comp
         t = total + y
@@ -232,7 +234,7 @@ def cdh_poly(n: int, xsq, p: CdhParams) -> float | complex | np.ndarray:
             (a + b + k) * (a + c + k) * (k + 1)
         )
     total = math.prod((a + b + j) * (a + c + j) for j in range(n)) * total
-    return total if np.ndim(xsq) else total.item()
+    return total if total.ndim else total.item()
 
 
 def cdh_jacobi(M: int, p: CdhParams) -> tuple[list | np.ndarray, list | np.ndarray]:
@@ -277,7 +279,11 @@ def cdh_orthonormal(top: int, xsq, p: CdhParams, lowest: int = 0) -> np.ndarray:
     y = np.asarray(xsq)
     y = y.astype(complex if np.iscomplexobj(y) else float)
     rows = []
-    prev, cur = None, np.ones_like(y)
+    if isinstance(diag, np.ndarray):  # parameter columns: s_0 spans them too
+        cur = np.ones(np.broadcast_shapes(y.shape, diag.shape[1:]), y.dtype)
+    else:
+        cur = np.ones_like(y)
+    prev = None
     for n in range(int(top) + 1):
         if n >= lowest:
             rows.append(cur)
@@ -333,7 +339,8 @@ def _log_norm(n, a, b, c) -> float:
             + math.lgamma(n + 1.0))
 
 
-def cdh_norm(n: int, p: CdhParams) -> float:
-    """Closed-form orthogonality norm h_n = exp(cdh_log_norm(n, p)); raises
-    OverflowError where h_n exceeds the float range."""
-    return math.exp(cdh_log_norm(n, p))
+def cdh_norm(n: int, p: CdhParams) -> float | np.ndarray:
+    """Closed-form orthogonality norm h_n = exp(cdh_log_norm(n, p)),
+    elementwise for array parameters; raises OverflowError where h_n exceeds
+    the float range."""
+    return per_point(math.exp, cdh_log_norm(n, p))

@@ -49,7 +49,11 @@ def test_xi_modulus_power_law():
 
 def test_hyperboloid_parametrization():
     pw = PlaneWaveParams(chi=1.3)
+    assert isinstance(pw.energy, float) and isinstance(pw.momentum, float)
     assert pw.energy ** 2 - pw.momentum ** 2 == pytest.approx(1.0, rel=1e-14)
+    col = PlaneWaveParams(chi=np.array([[0.2], [1.3]]))
+    assert col.energy.shape == col.momentum.shape == (2, 1)
+    np.testing.assert_allclose(col.energy ** 2 - col.momentum ** 2, 1.0, rtol=1e-14)
 
 
 def test_free_hamiltonian_eigenvalue_grid():
@@ -119,3 +123,30 @@ def test_multiplier_weight_modulus_identity():
     for N in (2, 3, 5, 8):
         prod = np.abs(reduction_multiplier(rho, N)) ** 2 * weight_wN(rho, N) * rho ** (N - 1)
         assert np.max(np.abs(prod - 1.0)) < 1e-12
+
+
+# every (N, chi) of the planewave-eigenvalue check as (P, 1) columns
+_N, _CHI = np.meshgrid((2, 3, 5), (0.2, 0.5, 1.0), indexing="ij")
+COLUMNS = PlaneWaveParams(chi=_CHI.reshape(-1, 1), N=_N.reshape(-1, 1))
+
+
+def test_stacked_residuals_are_the_scalar_calls_bit_for_bit():
+    got = free_hamiltonian_residual(COLUMNS, SAMPLES)
+    assert got.shape == (9,)
+    want = [free_hamiltonian_residual(PlaneWaveParams(chi=float(chi), N=int(N)), SAMPLES)
+            for N, chi in zip(_N.ravel(), _CHI.ravel())]
+    assert got.tolist() == want
+    assert isinstance(free_hamiltonian_residual(PlaneWaveParams(chi=0.5), SAMPLES), float)
+
+
+def test_stacked_negative_control_fails_at_every_point():
+    shifted = np.cosh(COLUMNS.chi) + 1e-3
+    assert np.all(free_hamiltonian_residual(COLUMNS, SAMPLES, eigenvalue=shifted) > 1e-4)
+
+
+def test_one_bad_entry_of_a_column_is_refused():
+    chi = np.array([[0.2], [np.nan], [1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        PlaneWaveParams(chi=chi, N=np.full((3, 1), 3))
+    with pytest.raises(ValueError, match="N >= 2"):
+        PlaneWaveParams(chi=np.full((3, 1), 0.5), N=np.array([[3], [1], [5]]))

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from relsingosc import oscillator, quadrature, specfun
+from relsingosc import checks, oscillator, quadrature, specfun
 from relsingosc.checks import CHECKS, GridContext
 from relsingosc.operators import AnalyticFunction
 from relsingosc.oscillator import (
@@ -371,3 +371,53 @@ def test_christoffel_weights_keep_the_gram_matrix_at_high_degree():
     for M in (31, 32):
         G = cdh_gram([basis.fn], d.cdh, M)
         assert np.max(np.abs(G - np.eye(31))) < 1e-12, M
+
+
+# --------------------------------------------------------------------------
+# the fixed Legendre rule of cdh-norms
+# --------------------------------------------------------------------------
+
+def _legendre_sums(f, rule):
+    vals = f(rule.nodes)
+    return np.sum(rule.weights * vals, axis=-1), np.sum(rule.weights * np.abs(vals), axis=-1)
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_cdh_norm_rule_has_converged(i):
+    # the convergence test of the refinement loop, run once on the check's
+    # fixed inputs: every entry of the width-1 rule against width-1/2 panels
+    p = CDH_NORM_TRIPLES[i]
+    hint = DecayHint(power=2 * (p.a + p.b + p.c) + 4 * checks._CDH_NORM_TOP, rate=math.pi)
+    assert choose_rho_max(hint) == quadrature.DEFAULT_RHO_MAX
+    rule = halfline_rule(quadrature.DEFAULT_RHO_MAX, 1)
+    assert len(rule.nodes) == 1920
+    coarse, _ = _legendre_sums(checks._cdh_norm_integrand, rule)
+    fine, mass = _legendre_sums(checks._cdh_norm_integrand,
+                                halfline_rule(quadrature.DEFAULT_RHO_MAX, 2))
+    coarse, fine, mass = coarse[:, i], fine[:, i], mass[:, i]
+    tol = np.maximum(quadrature.REL_TOL * np.maximum(np.abs(fine), mass), quadrature.ABS_TOL)
+    assert np.all(np.abs(coarse - fine) <= tol)
+    # the same integral, each triple on its own, by the adaptive loop
+    adaptive, _ = integrate_halfline(
+        lambda x: np.array([specfun.cdh_poly(n, x ** 2, p) for n in range(5)]) ** 2
+        * specfun.cdh_weight(x, p) / (2 * math.pi),
+        hint,
+    )
+    assert np.all(np.abs(coarse - adaptive) <= tol)
+
+
+def test_cdh_norms_needs_no_recurrence_or_gauss_rule(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cdh-norms must not read the recurrence or the Gauss-CDH rule")
+
+    for owner, name in ((specfun, "cdh_orthonormal"), (quadrature, "cdh_orthonormal"),
+                        (quadrature, "cdh_gauss_rule")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert CHECKS["cdh-norms"].runner() <= 1e-13
+
+
+def test_cdh_norms_sees_a_wrong_closed_form(monkeypatch):
+    log_norm = specfun.cdh_log_norm
+    monkeypatch.setattr(specfun, "cdh_log_norm",
+                        lambda n, p: log_norm(n, dataclasses.replace(p, b=p.b + 1e-3)))
+    assert CHECKS["cdh-norms"].runner() > CHECKS["cdh-norms"].default_tol

@@ -208,3 +208,41 @@ def test_cdh_log_weight_is_finite_where_the_weight_overflows():
     q = CdhParams(1.3, 2.1, 0.4)
     assert np.array_equal(cdh_weight(x, q), np.exp(specfun.cdh_log_weight(x, q)))
     assert cdh_weight(0.7, q) == math.exp(specfun.cdh_log_weight(0.7, q))
+
+
+# two triples as (2, 1) parameter columns, and each on its own
+COLUMNS = CdhParams(np.array([[0.5], [1.3]]), np.array([[0.5], [2.1]]), np.array([[0.5], [0.4]]))
+EACH = (CdhParams(0.5, 0.5, 0.5), CdhParams(1.3, 2.1, 0.4))
+
+
+def test_cdh_poly_degree_zero_spans_parameter_columns():
+    xsq = np.linspace(0.0, 9.0, 5) ** 2
+    for n in range(4):
+        got = cdh_poly(n, xsq, COLUMNS)
+        assert got.shape == (2, 5), n
+        for i, p in enumerate(EACH):
+            np.testing.assert_array_equal(got[i], cdh_poly(n, xsq, p))
+    assert cdh_poly(0, 0.7, COLUMNS).shape == (2, 1)
+
+
+def test_cdh_orthonormal_takes_parameter_columns():
+    for xsq in (np.linspace(0.0, 9.0, 5), (np.linspace(0.3, 3.0, 5) + 1.5j) ** 2):
+        rows = specfun.cdh_orthonormal(2, xsq, COLUMNS)
+        assert rows.shape == (3, 2, 5) and rows.dtype == xsq.dtype
+        for i, p in enumerate(EACH):
+            np.testing.assert_array_equal(rows[:, i], specfun.cdh_orthonormal(2, xsq, p))
+        np.testing.assert_array_equal(specfun.cdh_orthonormal(0, xsq, COLUMNS)[0], np.ones((2, 5)))
+
+
+def test_cdh_norm_is_elementwise_on_parameter_columns():
+    for n in range(5):
+        got = cdh_norm(n, COLUMNS)
+        assert got.shape == (2, 1)
+        assert [got[i, 0] for i in range(2)] == [cdh_norm(n, p) for p in EACH]
+    # h_n beyond a float raises, for a scalar triple and for one entry of a column
+    big = CdhParams(100.0, 100.0, 100.0)
+    with pytest.raises(OverflowError):
+        cdh_norm(4, big)
+    with pytest.raises(OverflowError):
+        cdh_norm(4, CdhParams(np.array([[0.5], [100.0]]), np.array([[0.5], [100.0]]),
+                              np.array([[0.5], [100.0]])))
