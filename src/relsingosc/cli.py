@@ -29,6 +29,7 @@ points (`checks.run_grid`).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -327,7 +328,10 @@ def _add_common(sub):
     sub.add_argument("--config", help="JSON file whose keys are this subcommand's flag names")
 
 
+@functools.cache
 def _parser():
+    """The parser, built once per process: parsing leaves it unchanged, and
+    building it (one --tol-<id> flag per check) costs about a millisecond."""
     ap = _Parser(
         prog="relsingosc",
         allow_abbrev=False,

@@ -21,8 +21,12 @@ wrong value.
 Sums and products of operators are again stencils: op_sum merges equal
 offsets and compose multiplies out (a b)_{tau+sigma}(rho) += a_tau(rho)
 b_sigma(rho + tau). Operators are immutable and evaluation is re-entrant;
-an image evaluates its argument once per call, on the stacked points
-rho + tau_j.
+an image reads its argument once per call, on the stacked points
+rho + tau_j. A function may also say how to read itself on a set of
+offsets (`shifted`): the radial states reach the offsets of one class,
+those a whole multiple of i apart, from one evaluation of their gamma
+envelope, and an image then asks for that read in place of evaluating
+the function on every stacked point.
 
 A function's values may carry leading axes: f(rho) of shape lead +
 rho.shape holds one function per index of lead, a basis R_0..R_K say.
@@ -75,16 +79,24 @@ class AnalyticFunction:
     alike and be finite everywhere in the strip except at declared isolated
     points (typically on the imaginary axis, e.g. rho = 0 images). Its
     values have shape lead + rho.shape, lead () for one function.
+
+    shifted, if given, is called once per image with the image's offsets
+    taus, an array, and returns an evaluator of z that gives what
+    fn(z + taus_j stacked on a new axis) gives, shape lead + (len(taus),)
+    + z.shape, by a route of its own; without it an image evaluates fn on
+    the stacked points.
     """
 
-    __slots__ = ("fn", "strip_halfwidth", "singular_points")
+    __slots__ = ("fn", "strip_halfwidth", "singular_points", "shifted")
 
-    def __init__(self, fn: Callable, strip_halfwidth: float, singular_points: tuple = ()):
+    def __init__(self, fn: Callable, strip_halfwidth: float, singular_points: tuple = (),
+                 *, shifted: Callable | None = None):
         if strip_halfwidth < 0:
             raise ValueError("strip_halfwidth must be non-negative")
         self.fn = fn
         self.strip_halfwidth = float(strip_halfwidth)
         self.singular_points = tuple(singular_points)
+        self.shifted = shifted
 
     def __call__(self, rho):
         return self.fn(rho)
@@ -184,6 +196,7 @@ def _read_once(f: AnalyticFunction, offset_lists, points: tuple, tables: Callabl
     coefficient tables in the same order; finish combines the list of
     images (np.stack for a stacked result). The function must cover the
     largest |Im tau| of the union, and evaluation at any of points raises.
+    f is read through its `shifted` evaluator where it has one.
     """
     offsets = tuple(dict.fromkeys(t for taus in offset_lists for t in taus))
     budget = max(abs(t.imag) for t in offsets)
@@ -193,12 +206,18 @@ def _read_once(f: AnalyticFunction, offset_lists, points: tuple, tables: Callabl
             for taus in offset_lists]
     taus = np.asarray(offsets)
     points = tuple(dict.fromkeys(points))
-    inner = f.fn
+    if f.shifted is not None:
+        inner = f.shifted(taus)
+    else:
+        fn = f.fn
+
+        def inner(zz):
+            return fn(_stack(zz, taus))
 
     def ev(z):
         zz = np.asarray(z, dtype=complex)
         _check_singular(zz, points)
-        values = _offsets_first(inner(_stack(zz, taus)), zz.ndim)
+        values = _offsets_first(inner(zz), zz.ndim)
         out = finish([np.einsum("j...,j...->...", t, values[r]) for t, r in zip(tables(zz), rows)])
         return out if zz.ndim else out[()]
 

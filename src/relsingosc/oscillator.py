@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ from .operators import (
     op_sum,
     shift,
     sinh_shift,
+    _stack,
 )
 from .quadrature import DecayHint
 
@@ -232,7 +234,8 @@ class RadialState:
 
 
 def _state_rows(p: ModelParams, d: DerivedParams, lowest: int, top: int):
-    """Evaluator of R_lowest..R_top, stacked on a new leading axis:
+    """R_lowest..R_top, stacked on a new leading axis, as an AnalyticFunction
+    that also reads itself on offsets (`shifted`):
 
         R_n(rho) = sqrt(2) s_n(rho^2) E(rho),
         E(rho) = (-rho)^(alpha) exp(ln Gamma(nu + i rho) + i rho ln omega0 - ln(h_0) / 2),
@@ -242,18 +245,106 @@ def _state_rows(p: ModelParams, d: DerivedParams, lowest: int, top: int):
     degree makes every state vanish at rho = 0 (and at rho = i k); the
     only true poles sit at rho = i(alpha + k), i(nu + k) on the imaginary
     axis. Only h_0 enters, in logs, so no state overflows where h_n does.
+
+    On offsets, the s_n are taken at every stacked point, and E once per
+    class of offsets a whole multiple of i apart (`_classes`), at the
+    member nearest the real axis; the other members follow from it by the
+    exact ratios of `_envelope_lattice`, so offset 0 is read as `ev` reads
+    it and the shifted values share the rounding of their base.
     """
     alpha, nu, cdh = d.alpha, d.nu, d.cdh
-    log_om0 = specfun.per_point(math.log, p.omega0)
+    om0 = p.omega0
+    log_om0 = specfun.per_point(math.log, om0)
     log_scale = 0.5 * (_LN2 - specfun.cdh_log_norm(0, cdh))
+
+    def envelope(r):
+        return specfun.generalized_degree(-r, alpha) * np.exp(
+            specfun.log_gamma(nu + 1j * r) + 1j * r * log_om0 + log_scale)
 
     def ev(rho):
         r = np.asarray(rho, dtype=complex)
-        envelope = specfun.generalized_degree(-r, alpha) * np.exp(
-            specfun.log_gamma(nu + 1j * r) + 1j * r * log_om0 + log_scale)
-        return envelope * specfun.cdh_orthonormal(top, r ** 2, cdh, lowest)
+        return envelope(r) * specfun.cdh_orthonormal(top, r ** 2, cdh, lowest)
 
-    return ev
+    def shifted(taus):
+        classes = _classes(taus)
+
+        def ev_shifted(z):
+            r = _stack(z, taus)
+            env = np.empty(r.shape, dtype=complex)
+            for base, members, ks in classes:
+                w = 1j * r[base]
+                bad = _lattice_poles(w, ks.max(), alpha, nu)
+                with np.errstate(all="ignore") if bad is not None else nullcontext():
+                    lattice = _envelope_lattice(envelope(r[base]), w, ks, alpha, nu, om0)
+                env[members] = lattice[ks - ks.min()]
+                if bad is not None:  # a gamma pole on the lattice: read directly there
+                    for i in members:
+                        env[i] = np.where(bad, envelope(r[i]), env[i])
+            return env * specfun.cdh_orthonormal(top, r ** 2, cdh, lowest)
+
+        return ev_shifted
+
+    return AnalyticFunction(ev, STATE_STRIP_HALFWIDTH, shifted=shifted)
+
+
+def _classes(taus) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The offsets split into classes whose members lie a whole multiple of
+    i apart, as (base, members, ks): members are the indices into taus, base
+    the index of the member with the least |Im tau| (the upper one on a
+    tie), and taus[member] = taus[base] + i k. An offset with a real part
+    is a class of its own."""
+    groups: dict = {}
+    for i, t in enumerate(complex(t) for t in taus):
+        groups.setdefault(t.imag % 1.0 if t.real == 0 else (i,), []).append(i)
+    out = []
+    for members in groups.values():
+        ys = [complex(taus[i]).imag for i in members]
+        y0 = min(ys, key=lambda y: (abs(y), -y))
+        ks = [y - y0 for y in ys]
+        if all(k.is_integer() for k in ks):
+            out.append((members[ys.index(y0)], np.array(members), np.array(ks, dtype=int)))
+        else:  # not on one lattice after all: each offset alone
+            out.extend((i, np.array([i]), np.zeros(1, dtype=int)) for i in members)
+    return out
+
+
+def _envelope_lattice(base, w, ks, alpha, nu, om0) -> np.ndarray:
+    """E at r + i k for k = min(ks)..max(ks), stacked on a new leading axis,
+    from base = E(r) and w = i r:
+
+        E(r + i k) / E(r + i (k - 1)) = (w - k) / ((alpha + w - k)(nu + w - k) omega0)
+
+    (Gamma(x + 1) = x Gamma(x), DLMF 5.5.1), so the rows above the base are
+    running products of these factors, those below running products of
+    their inverses, each in the order a loop would take them."""
+    kmin, kmax = int(ks.min()), int(ks.max())
+    b = -kmin
+    out = np.empty((kmax - kmin + 1,) + w.shape, dtype=complex)
+    out[b] = base
+    tail = (1,) * w.ndim
+    if kmax:
+        up = out[b + 1:]
+        np.subtract(w, np.arange(1, kmax + 1).reshape((-1,) + tail), out=up)
+        np.divide(up, (alpha + up) * (nu + up) * om0, out=up)
+        np.cumprod(out[b:], axis=0, out=out[b:])
+    if kmin:
+        down = out[b - 1::-1]
+        np.add(w, np.arange(-kmin).reshape((-1,) + tail), out=down)
+        np.divide((alpha + down) * (nu + down) * om0, down, out=down)
+        np.cumprod(out[b::-1], axis=0, out=out[b::-1])
+    return out
+
+
+def _lattice_poles(w, kmax: int, alpha, nu):
+    """Where the lattice from w meets a gamma pole, as a mask over w, or
+    None when it meets none: one of w, alpha + w, nu + w is an integer
+    <= kmax, which needs a real w, i.e. a base point on the imaginary axis."""
+    if not (w.imag == 0).any():
+        return None
+    bad = False
+    for x in (w, alpha + w, nu + w):
+        bad = bad | ((x.imag == 0) & (x.real == np.floor(x.real)) & (x.real <= kmax))
+    return bad if np.any(bad) else None
 
 
 def state_decay_hint(d: DerivedParams, n_max: int) -> DecayHint:
@@ -289,12 +380,16 @@ def radial_wavefunction(p: ModelParams, n: int) -> RadialState:
     rows = _state_rows(p, d, n, n)
 
     def ev(rho):
-        out = rows(rho)[0]
+        out = rows.fn(rho)[0]
         return out if np.ndim(rho) else complex(out)
+
+    def shifted(taus):
+        read = rows.shifted(taus)
+        return lambda z: read(z)[0]
 
     return RadialState(
         params=p, derived=d, n=n, energy=energy(n, d, p.omega0), norm_const=norm_constant(n, d),
-        fn=AnalyticFunction(ev, STATE_STRIP_HALFWIDTH),
+        fn=AnalyticFunction(ev, STATE_STRIP_HALFWIDTH, shifted=shifted),
     )
 
 
@@ -323,7 +418,7 @@ def radial_basis(p: ModelParams | PointStack, top: int) -> RadialBasis:
     d = derive_params(p)
     return RadialBasis(
         params=p, derived=d, energies=energy(degree_axis(p, top + 1), d, p.omega0),
-        fn=AnalyticFunction(_state_rows(p, d, 0, top), STATE_STRIP_HALFWIDTH),
+        fn=_state_rows(p, d, 0, top),
     )
 
 

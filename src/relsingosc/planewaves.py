@@ -71,21 +71,25 @@ def xi_Nd(pw: PlaneWaveParams, rho, costheta1):
     return _xi(pw.N, pw.chi, rho, costheta1)
 
 
-def _angular_laplacian(N: int, chi: float, rho, theta, h: float):
+def _angular_laplacian(N: int, chi: float, rho, theta, h: float, mid):
     """Delta_0 on functions of the first polar angle only, by Richardson-
-    extrapolated central differences."""
+    extrapolated central differences, given mid, the plane wave at theta;
+    it is evaluated once at each of the other four angles theta +- h/2 and
+    theta +- h."""
 
     def f(th):
         return _xi(N, chi, rho, np.cos(th))
 
-    def d1(hh):
-        return (f(theta + hh) - f(theta - hh)) / (2.0 * hh)
+    near, far = (f(theta + h / 2), f(theta - h / 2)), (f(theta + h), f(theta - h))
 
-    def d2(hh):
-        return (f(theta + hh) - 2.0 * f(theta) + f(theta - hh)) / hh ** 2
+    def d1(pair, hh):
+        return (pair[0] - pair[1]) / (2.0 * hh)
 
-    first = (4.0 * d1(h / 2) - d1(h)) / 3.0
-    second = (4.0 * d2(h / 2) - d2(h)) / 3.0
+    def d2(pair, hh):
+        return (pair[0] - 2.0 * mid + pair[1]) / hh ** 2
+
+    first = (4.0 * d1(near, h / 2) - d1(far, h)) / 3.0
+    second = (4.0 * d2(near, h / 2) - d2(far, h)) / 3.0
     return second + (N - 2) * first / np.tan(theta)
 
 
@@ -116,7 +120,7 @@ def free_hamiltonian_residual(pw: PlaneWaveParams, samples,
     up = _xi(N, chi, rho + 1j, ct)
     down = _xi(N, chi, rho - 1j, ct)
     val = 0.5 * (up + down) + 1j * (N - 1) / (2.0 * rho) * 0.5 * (up - down)
-    lap = _angular_laplacian(N, chi, rho + 1j, theta, ANGLE_STEP)
+    lap = _angular_laplacian(N, chi, rho + 1j, theta, ANGLE_STEP, up)
     val = val - lap / (rho * (2.0 * rho - 1j * (N - 3)))
     ref = e_val * _xi(N, chi, rho, ct)
     worst = np.max(np.abs(val - ref) / np.abs(ref), axis=-1, initial=0.0)  # keeps a nan

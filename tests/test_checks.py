@@ -181,3 +181,19 @@ def test_a_point_that_raises_gets_its_own_error_entries(monkeypatch):
     assert _entries(o for o in hit if o.status != "error") == \
         _entries(o for o, h in zip(clean, hit) if h.status != "error")
     assert all(o.runtime_ms > 0 for o in hit)
+
+
+def test_small_omega0_residuals_reach_rounding():
+    # the operators read each state's gamma envelope once per class of
+    # offsets, so the shifted values share their base's rounding: at
+    # omega0 = 1e-4 the eigen-residual reaches rounding (it read 1.3e-10
+    # with one envelope per offset), and the ladder action passes
+    out = {o.check_id: o for o in checks.run_point(
+        (3, 1, 1e-4, 1.0), ["eigen-residual", "ladder-action"], n_max=5)}
+    assert out["eigen-residual"].passed and out["eigen-residual"].residual <= 1e-13
+    assert out["ladder-action"].passed
+
+
+def test_ladder_route_passes_at_omega0_1e_3():
+    out, = checks.run_point((3, 1, 1e-3, 1.0), ["state-generation"], n_max=5)
+    assert out.status == "ran" and out.passed

@@ -155,6 +155,24 @@ def test_verify_tolerance_override_flips_to_failure(capsys):
     assert "FAIL" in out
 
 
+def test_flags_of_one_call_do_not_leak_into_the_next(capsys):
+    # the parser is built once per process; each call still starts from the
+    # defaults, so a tolerance or a check list given once is not kept
+    code, out, _ = run(capsys, ["verify"] + VALID + ["--checks", "eigen-residual",
+                                                     "--tol-eigen-residual", "1e-16",
+                                                     "--format", "json"])
+    assert code == 1
+    assert json.loads(out)["config"]["tolerances"] == {"eigen-residual": 1e-16}
+    assert cli._parser() is cli._parser()
+    code, out, _ = run(capsys, ["verify"] + VALID + ["--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["config"]["tolerances"] == {}
+    assert len(data["config"]["checks"]) == len(checks.CHECKS)
+    assert all(e["tolerance"] == checks.CHECKS[e["check_id"]].default_tol
+               for e in data["entries"])
+
+
 def test_verify_skips_invalid_points_and_continues(capsys):
     code, out, _ = run(capsys, ["verify", "--dims", "3", "--l", "1,2",
                                 "--omega0", "1.0", "--g0", "0.1",

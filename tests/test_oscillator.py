@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import loggamma
 
 from relsingosc import oscillator, planewaves, quadrature
@@ -23,7 +25,7 @@ from relsingosc.oscillator import (
 )
 from relsingosc.quadrature import gram_matrix, integrate_halfline
 from relsingosc.oscillator import state_decay_hint
-from relsingosc.specfun import CdhParams, cdh_norm, cdh_poly
+from relsingosc.specfun import CdhParams, cdh_log_norm, cdh_norm, cdh_poly
 
 # frozen high-precision values for (N=3, l=1, omega0=0.1, g0=1):
 # 40-digit evaluation of the alpha/nu/energy formulas
@@ -440,3 +442,112 @@ def test_eigen_residual_of_a_basis_is_one_per_row():
         st = radial_wavefunction(p, n)
         assert rows[n] == pytest.approx(eigen_residual(H, st.fn, st.energy), rel=1e-6, abs=1e-15)
     assert np.all(rows < 1e-11)
+
+
+# -- states read on the shift lattice ------------------------------------
+
+# every offset i k/2, |k| <= 16: the whole and the half-integer class
+LATTICE = 1j * np.arange(-16, 17) / 2
+EPS = np.finfo(float).eps
+
+
+def _direct(fn, z, taus):
+    """fn read on the stacked points z + tau_j, as an image without
+    `shifted` reads it."""
+    return fn(np.asarray(z, dtype=complex) + taus.reshape((-1,) + (1,) * np.ndim(z)))
+
+
+def _log_size(p, z):
+    """The size of the logs the envelope exponentiates at z: eps times it
+    bounds the rounding of a direct read there."""
+    d = derive_params(p)
+    u = 1j * np.asarray(z, dtype=complex)
+    log_scale = 0.5 * (math.log(2.0) - cdh_log_norm(0, d.cdh))
+    return (np.abs(loggamma(d.nu + u)) + np.abs(loggamma(d.alpha + u)) + np.abs(loggamma(u))
+            + np.abs(u * np.log(p.omega0)) + abs(log_scale))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.floats(min_value=-4.0, max_value=0.0))
+def test_lattice_read_matches_the_direct_read(log_omega0):
+    # within 1e-13 plus the rounding of the direct read itself, whose lnGamma
+    # values grow like 1/omega0; a stack of points gives each point the
+    # values of its batch of one, bit for bit (N = 3, l = 0, g0 = 0 has an
+    # integer alpha, which gamma_ratio takes by another route)
+    omega0 = 10.0 ** log_omega0
+    points = [ModelParams(3, 0, omega0, 0.1), ModelParams(2, 0, omega0, 0.1),
+              ModelParams(3, 0, omega0, 0.0)]
+    stack = oscillator.PointStack(points)
+    samples = np.broadcast_to(np.asarray(RHO_SAMPLES), (3, len(RHO_SAMPLES)))
+    rows = oscillator.radial_basis(stack, 3).fn.shifted(LATTICE)(samples)
+    assert rows.shape == (4, len(LATTICE)) + samples.shape
+    for i, p in enumerate(points):
+        basis = oscillator.radial_basis(p, 3).fn
+        alone = basis.shifted(LATTICE)(samples[i])
+        np.testing.assert_array_equal(rows[..., i, :], alone)
+        direct = _direct(basis.fn, samples[i], LATTICE)
+        size = _log_size(p, _direct(lambda z: z, samples[i], LATTICE))
+        bound = 1e-13 + 4 * EPS * size.max()
+        assert np.max(np.abs(alone - direct) / np.abs(direct)) <= bound
+        state = radial_wavefunction(p, 2).fn.shifted(LATTICE)(samples[i])
+        np.testing.assert_array_equal(state, alone[2])
+
+
+@pytest.mark.parametrize("taus", [(0j,), (1j, -1j), (-2j, -1j, 0j, 1j, 2j), tuple(LATTICE),
+                                  (0.5j, 0j, -0.5j, 0.25 + 1j, 0.3j, 1.3j)])
+def test_lattice_read_at_offset_zero_is_the_direct_read_bit_for_bit(taus):
+    # offsets with a real part, or off the (i/2)Z lattice, read directly
+    taus = np.asarray(taus)
+    z = np.asarray(RHO_SAMPLES)
+    basis = oscillator.radial_basis(EX3, 4).fn
+    rows = basis.shifted(taus)(z)
+    direct = _direct(basis.fn, z, taus)
+    for j, t in enumerate(taus):
+        if t == 0:
+            np.testing.assert_array_equal(rows[:, j], basis.fn(z))
+        if t.real or t.imag * 2 != round(t.imag * 2):
+            np.testing.assert_array_equal(rows[:, j], direct[:, j])
+    np.testing.assert_allclose(rows, direct, rtol=1e-13)
+
+
+@pytest.mark.parametrize("p", [EX3, ModelParams(3, 0, 0.2, 0.0)])  # alpha = 1 in the second
+def test_lattice_read_on_the_imaginary_axis_matches_the_direct_read(p):
+    # the states vanish at rho = i k, where 1/Gamma(i rho) does; there the
+    # lattice meets gamma poles and is read directly, without a warning
+    z = 1j * np.array([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 0.5, 1.5])
+    taus = 1j * np.arange(-4, 5) / 2
+    basis = oscillator.radial_basis(p, 3).fn
+    rows = basis.shifted(taus)(z)
+    direct = _direct(basis.fn, z, taus)
+    zero = direct == 0
+    assert zero.any() and np.all(rows[zero] == 0)
+    np.testing.assert_allclose(rows[~zero], direct[~zero], rtol=1e-13)
+
+
+@pytest.mark.parametrize("omega0", [0.2, 1e-3, 1e-4])
+def test_lattice_read_is_as_accurate_as_the_direct_read(omega0):
+    # against 60 digits: each shifted value carries its base's error (the
+    # base is read directly) and a few roundings of the ratios, no more,
+    # and the worst error of the lattice read is no worse than the direct
+    p = ModelParams(3, 0, omega0, 0.1)
+    d = derive_params(p)
+    z = np.array([0.3, 1.0, 2.0, 5.0, 10.0, 20.0])
+    state = radial_wavefunction(p, 0).fn
+    lattice = state.shifted(LATTICE)(z)
+    direct = _direct(state.fn, z, LATTICE)
+    log_scale = 0.5 * (math.log(2.0) - cdh_log_norm(0, d.cdh))
+    a, nu, om = (mpmath.mpf(x) for x in (d.alpha, d.nu, omega0))
+    with mpmath.workdps(60):
+        def exact(r):  # R_0 = E, with the code's own log scale
+            u = 1j * mpmath.mpc(r)
+            return complex(mpmath.exp(1j * mpmath.pi * a / 2 + mpmath.loggamma(a + u)
+                                      - mpmath.loggamma(u) + mpmath.loggamma(nu + u)
+                                      + u * mpmath.log(om) + mpmath.mpf(log_scale)))
+        want = np.vectorize(exact, otypes=[complex])(_direct(lambda x: x, z, LATTICE))
+    err_lattice = np.abs(lattice - want) / np.abs(want)
+    err_direct = np.abs(direct - want) / np.abs(want)
+    whole = np.arange(-16, 17) % 2 == 0
+    for members, base in ((whole, 16), (~whole, 17)):  # bases: offsets 0 and i/2
+        np.testing.assert_array_equal(lattice[base], direct[base])
+        assert np.all(err_lattice[members] <= err_lattice[base] + 16 * EPS)
+    assert err_lattice.max() <= err_direct.max()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relsingosc import planewaves
 from relsingosc.planewaves import (
     PlaneWaveParams,
     free_hamiltonian_residual,
@@ -150,3 +151,20 @@ def test_one_bad_entry_of_a_column_is_refused():
         PlaneWaveParams(chi=chi, N=np.full((3, 1), 3))
     with pytest.raises(ValueError, match="N >= 2"):
         PlaneWaveParams(chi=np.full((3, 1), 0.5), N=np.array([[3], [1], [5]]))
+
+
+def test_residual_evaluates_each_distinct_plane_wave_once(monkeypatch):
+    # rho + i and rho - i at theta, rho at theta, and rho + i at the four
+    # other angles theta +- h/2, theta +- h of the angular differences
+    calls = []
+    xi = planewaves._xi
+
+    def counted(*args):
+        calls.append(args)
+        return xi(*args)
+
+    monkeypatch.setattr(planewaves, "_xi", counted)
+    free_hamiltonian_residual(COLUMNS, SAMPLES)
+    assert len(calls) == 7
+    keys = {(np.asarray(rho).tobytes(), np.asarray(ct).tobytes()) for _, _, rho, ct in calls}
+    assert len(keys) == 7
