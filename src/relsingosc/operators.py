@@ -22,7 +22,8 @@ Sums and products of operators are again stencils: op_sum merges equal
 offsets and compose multiplies out (a b)_{tau+sigma}(rho) += a_tau(rho)
 b_sigma(rho + tau). Operators are immutable and evaluation is re-entrant;
 an image reads its argument once per call, on the stacked points
-rho + tau_j. A function may also say how to read itself on a set of
+rho + tau_j, and on a long grid once per block of the grid's last axis
+(`_BLOCK_POINTS`). A function may also say how to read itself on a set of
 offsets (`shifted`): the radial states reach the offsets of one class,
 those a whole multiple of i apart, from one evaluation of their gamma
 envelope, and an image then asks for that read in place of evaluating
@@ -63,6 +64,17 @@ __all__ = [
 
 _BUDGET_SLACK = 1e-12  # tolerate rounding in strip bookkeeping comparisons
 
+# An image reads its argument on blocks of the last axis of its points, of
+# about this many stacked points at most. A complex array of a block (64
+# KiB) stays below glibc malloc's 128 KiB mmap threshold, so a read reuses
+# memory the allocator holds instead of faulting in fresh pages (read in one
+# piece, a 2048-point [H, A+] took up to 1,400 page faults, whose cost grows
+# when other processes run), and its temporaries stay in cache. Nor does an
+# array of a state's block reach the 256 KiB at which numpy reuses a
+# temporary in place, swapping the operands of a product: each point gets,
+# bit for bit, what it gets in a grid of its own.
+_BLOCK_POINTS = 4096
+
 
 class StripExhaustedError(RuntimeError):
     """Operator chain consumes more imaginary displacement than the function's strip."""
@@ -78,7 +90,9 @@ class AnalyticFunction:
     The evaluator must accept complex scalars and numpy arrays of any shape
     alike and be finite everywhere in the strip except at declared isolated
     points (typically on the imaginary axis, e.g. rho = 0 images). Its
-    values have shape lead + rho.shape, lead () for one function.
+    values have shape lead + rho.shape, lead () for one function, and
+    each depends on its own rho only, so an image may read the function on
+    blocks of its points.
 
     shifted, if given, is called once per image with the image's offsets
     taus, an array, and returns an evaluator of z that gives what
@@ -159,7 +173,8 @@ class LinearOperator:
         """The image rho -> sum_j c_j(rho) f(rho + tau_j).
 
         Evaluating the image calls f once, on the points rho + tau_j
-        stacked along a new axis; leading axes of f's values pass through.
+        stacked along a new axis (once per block of a long grid); leading
+        axes of f's values pass through.
         """
         coefficients = self.coefficients
         return _read_once(_as_function(f), [self.offsets], self.singular_points,
@@ -196,7 +211,9 @@ def _read_once(f: AnalyticFunction, offset_lists, points: tuple, tables: Callabl
     coefficient tables in the same order; finish combines the list of
     images (np.stack for a stacked result). The function must cover the
     largest |Im tau| of the union, and evaluation at any of points raises.
-    f is read through its `shifted` evaluator where it has one.
+    f is read through its `shifted` evaluator where it has one, and on a
+    grid of more than _BLOCK_POINTS stacked points once per block of its
+    last axis, in blocks of nearly equal width.
     """
     offsets = tuple(dict.fromkeys(t for taus in offset_lists for t in taus))
     budget = max(abs(t.imag) for t in offsets)
@@ -214,12 +231,22 @@ def _read_once(f: AnalyticFunction, offset_lists, points: tuple, tables: Callabl
         def inner(zz):
             return fn(_stack(zz, taus))
 
+    def read(zz):
+        values = _offsets_first(inner(zz), zz.ndim)
+        return finish([np.einsum("j...,j...->...", t, values[r]) for t, r in zip(tables(zz), rows)])
+
     def ev(z):
         zz = np.asarray(z, dtype=complex)
         _check_singular(zz, points)
-        values = _offsets_first(inner(zz), zz.ndim)
-        out = finish([np.einsum("j...,j...->...", t, values[r]) for t, r in zip(tables(zz), rows)])
-        return out if zz.ndim else out[()]
+        if zz.ndim == 0:
+            return read(zz)[()]
+        width = zz.shape[-1]
+        blocks = min(-(-len(offsets) * zz.size // _BLOCK_POINTS), width)
+        if blocks <= 1:
+            return read(zz)
+        edges = width * np.arange(blocks + 1) // blocks
+        parts = [read(zz[..., a:b]) for a, b in zip(edges[:-1], edges[1:])]
+        return np.concatenate(parts, axis=-1)
 
     strip = max(f.strip_halfwidth - budget, 0.0)
     return AnalyticFunction(ev, strip, points + _moved(f.singular_points, offsets))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relsingosc import symmetry
+from relsingosc import operators, symmetry
 from relsingosc.operators import (
     AnalyticFunction,
     SingularPointError,
@@ -22,7 +22,7 @@ from relsingosc.operators import (
     sinh_shift,
     taylor_limit_check,
 )
-from relsingosc.oscillator import RHO_SAMPLES, ModelParams, hamiltonian_reduced
+from relsingosc.oscillator import RHO_SAMPLES, ModelParams, hamiltonian_reduced, radial_wavefunction
 from scipy.special import rgamma
 
 RNG = np.random.default_rng(7)
@@ -210,6 +210,56 @@ def test_image_evaluates_its_argument_once_per_call(monkeypatch):
     calls.clear()
     r4.fn(pts)
     assert len(calls) == 1
+
+
+def test_a_long_grid_is_read_in_blocks():
+    # each read of the state covers a block of the grid whose stacked
+    # points stay near _BLOCK_POINTS, and the blocks cover the grid once
+    state = radial_wavefunction(P3, 2).fn
+    reads = []
+
+    def recorded(taus, _rule=state.shifted):
+        ev = _rule(taus)
+
+        def read(z):
+            reads.append((len(taus), np.shape(z)))
+            return ev(z)
+
+        return read
+
+    f = AnalyticFunction(state.fn, state.strip_halfwidth, shifted=recorded)
+    H, Ap = hamiltonian_reduced(P3), symmetry.build_A_plus(P3)
+    rho = np.linspace(0.3, 20.0, 5000)
+    H.apply(f)(rho)
+    assert reads == [(2, (1666,)), (2, (1667,)), (2, (1667,))]
+    reads.clear()
+    # the outer image reads its 2 x 5000 stacked points in 3 blocks, and
+    # the inner one each of its 5 x 2 x ~1667 in 5 more
+    H.apply(Ap.apply(f))(rho)
+    assert len(reads) == 15
+    assert max(k * np.prod(shape) for k, shape in reads) <= operators._BLOCK_POINTS
+    assert sum(np.prod(shape) for _, shape in reads) == 2 * len(rho)
+
+
+@pytest.mark.parametrize("kind", ["H", "H A+", "A+ H", "powers", "ladder"])
+def test_a_long_grid_gives_each_point_its_value_alone(kind):
+    # bit for bit: numpy reuses a temporary of 256 KiB or more in place,
+    # which swaps the operands of a product and can change its last bit;
+    # read in one piece, the 3000-point table of (A+)^3 did, and no block
+    # is that large
+    H, Ap = hamiltonian_reduced(P3), symmetry.build_A_plus(P3)
+    f = radial_wavefunction(P3, 2).fn
+    image = {
+        "H": lambda: H.apply(f),
+        "H A+": lambda: H.apply(Ap.apply(f)),
+        "A+ H": lambda: Ap.apply(H.apply(f)),
+        "powers": lambda: powers(Ap, 3, f),
+        "ladder": lambda: symmetry.generate_basis_via_ladder(P3, 4).fn,
+    }[kind]()
+    rho = np.sort(np.random.default_rng(11).uniform(0.3, 20.0, 3000))
+    values = image(rho)
+    for k in range(0, len(rho), 97):
+        np.testing.assert_array_equal(values[..., k:k + 1], image(rho[k:k + 1]))
 
 
 _numbers = st.floats(-2.0, 2.0, allow_nan=False)
