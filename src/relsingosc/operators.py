@@ -65,14 +65,16 @@ __all__ = [
 _BUDGET_SLACK = 1e-12  # tolerate rounding in strip bookkeeping comparisons
 
 # An image reads its argument on blocks of the last axis of its points, of
-# about this many stacked points at most. A complex array of a block (64
-# KiB) stays below glibc malloc's 128 KiB mmap threshold, so a read reuses
-# memory the allocator holds instead of faulting in fresh pages (read in one
-# piece, a 2048-point [H, A+] took up to 1,400 page faults, whose cost grows
-# when other processes run), and its temporaries stay in cache. Nor does an
-# array of a state's block reach the 256 KiB at which numpy reuses a
-# temporary in place, swapping the operands of a product: each point gets,
-# bit for bit, what it gets in a grid of its own.
+# about this many stacked points at most where that axis is long enough (a
+# block keeps every index of the leading axes, such as the parameter points
+# of a verify grid). A complex array of a block (64 KiB) stays below glibc
+# malloc's 128 KiB mmap threshold, so a read reuses memory the allocator
+# holds instead of faulting in fresh pages (read in one piece, a 2048-point
+# [H, A+] took up to 1,400 page faults, whose cost grows when other
+# processes run), and its temporaries stay in cache. Nor does an array of a
+# state's block reach the 256 KiB at which numpy reuses a temporary in
+# place, swapping the operands of a product: each point gets, bit for bit,
+# what it gets in a grid of its own.
 _BLOCK_POINTS = 4096
 
 
