@@ -57,7 +57,6 @@ from .symmetry import (
     build_A_minus,
     build_A_plus,
     build_momentum,
-    casimir,
     generate_basis_via_ladder,
     momentum_commutator,
 )
@@ -326,13 +325,17 @@ def check_su11_ladder_bracket(ctx: GridContext) -> np.ndarray:
 
 def check_casimir(ctx: GridContext) -> np.ndarray:
     """K0(K0 - 1) - K+ K- = s(s-1) I entry by entry on R_0..R_3, hence on
-    every superposition of them."""
-    worst = []
-    for p, s in zip(ctx.points, ctx.derived.s[:, 0].tolist()):
-        target = s * (s - 1.0)
-        deviation = casimir(p, 4) - target * np.eye(4)
-        worst.append(_worst(np.abs(deviation) / (abs(target) + _GUARD)))
-    return np.array(worst)
+    every superposition of them. The matrices are diagonal, K0 = n + s and
+    (K+ K-)_nn = kappa_n^2, so the diagonal of `symmetry.casimir` is
+    (n + s)((n + s) - 1) - kappa_n kappa_n, taken here on the degree axis
+    in the order the matrix products take it; the off-diagonal entries are
+    exact zeros."""
+    n = degree_axis(ctx.params, 4)
+    s = ctx.derived.s
+    kappa = LadderCoefficients.from_params(ctx.params, ctx.derived).kappa(n)
+    target = s * (s - 1.0)
+    deviation = ((n + s) * ((n + s) - 1.0) - kappa * kappa) - target
+    return _worst_per_point((np.abs(deviation) / (np.abs(target) + _GUARD))[..., 0])
 
 
 def _pointwise_match(got, want) -> np.ndarray:

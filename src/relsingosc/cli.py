@@ -20,7 +20,8 @@ exits 2, as its flag would; so does a key that only abbreviates a flag
 key.
 
 Exit codes: 0 all checks passed (or tables emitted), 1 verification
-failures, 2 configuration/validation errors. Grid points outside the valid
+failures, 2 configuration/validation errors, an --out path that cannot be
+written among them. Grid points outside the valid
 parameter regime are reported as skipped, never crash the run. `verify`
 runs the whole grid in the calling thread, each check once for all valid
 points (`checks.run_grid`).
@@ -32,6 +33,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 # unused: benchmarks/tracing.py patches it by name, in the tracer benchmarks/test_smoke.py installs
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -180,11 +182,16 @@ def _grid_points(cfg: RunConfig):
 
 
 def _emit(text: str, out_path: str | None):
-    if out_path:
+    """Write text to out_path, or to stdout without one. A path that cannot
+    be written is a configuration error (exit 2), not a failed check."""
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -282,11 +289,10 @@ def cmd_eval(cfg: RunConfig) -> int:
         if len(blocks) == 1:
             _emit(blocks[0][1], cfg.out)
         else:
-            base, dot, ext = cfg.out.rpartition(".")
-            if not dot:
-                base, ext = cfg.out, "csv"
+            # the extension of the file name only: a dotted directory keeps its dot
+            base, ext = os.path.splitext(cfg.out)
             for tag, text in blocks:
-                _emit(text, f"{base}.{tag}.{ext}")
+                _emit(text, f"{base}.{tag}{ext or '.csv'}")
     else:
         for tag, text in blocks:
             if len(blocks) > 1:

@@ -79,8 +79,6 @@ STATE_STRIP_HALFWIDTH = 18.0
 
 _RESIDUAL_GUARD = 1e-300
 _LN2 = math.log(2.0)
-# exp(x) is a finite float exactly when x <= log(DBL_MAX)
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class InvalidParametersError(ValueError):
@@ -138,7 +136,9 @@ class PointStack:
     A+-, momentum and ladder-basis builders) take a stack in place of a
     ModelParams; their functions are then read at points of shape
     (..., P, samples), point i at row i, so one evaluation serves the whole
-    grid and each point gets the digits it gets alone.
+    grid. A point alone and a row of a stack run the same elementwise
+    arithmetic (`specfun` has one path for scalars and columns), so each
+    point gets the digits it gets alone.
     """
 
     def __init__(self, points):
@@ -254,7 +254,7 @@ def _state_rows(p: ModelParams, d: DerivedParams, lowest: int, top: int):
     """
     alpha, nu, cdh = d.alpha, d.nu, d.cdh
     om0 = p.omega0
-    log_om0 = specfun.per_point(math.log, om0)
+    log_om0 = np.log(om0)
     log_scale = 0.5 * (_LN2 - specfun.cdh_log_norm(0, cdh))
 
     def envelope(r):
@@ -352,17 +352,16 @@ def state_decay_hint(d: DerivedParams, n_max: int) -> DecayHint:
     return DecayHint(power=2 * d.alpha + 2 * d.nu - 1 + 4 * n_max)
 
 
-def norm_constant(n: int, d: DerivedParams) -> float:
+def norm_constant(n: int, d: DerivedParams) -> float | np.ndarray:
     """C_n = sqrt(2/h_n), with h_n the continuous dual Hahn norm at (alpha, nu, 1/2),
     so that R_n = C_n S_n(rho^2) E(rho) sqrt(h_0 / 2). It does not enter the
-    values of the states. Where h_n overflows a float it is formed from log h_n."""
-    return specfun.per_point(_norm_from_log, specfun.cdh_log_norm(n, d.cdh))
-
-
-def _norm_from_log(log_h: float) -> float:
-    if log_h < _LOG_FLOAT_MAX:  # sqrt(2 / specfun.cdh_norm(n, d.cdh)), bit for bit
-        return math.sqrt(2.0 / math.exp(log_h))
-    return math.exp(0.5 * (_LN2 - log_h))
+    values of the states. Where h_n is a float this is
+    sqrt(2 / specfun.cdh_norm(n, d.cdh)) bit for bit; where h_n overflows
+    one, it is formed from log h_n."""
+    log_h = specfun.cdh_log_norm(n, d.cdh)
+    with np.errstate(over="ignore"):
+        h = np.exp(log_h)
+    return np.where(h < np.inf, np.sqrt(2.0 / h), np.exp(0.5 * (_LN2 - log_h)))[()]
 
 
 def _check_degree(n) -> int:

@@ -196,14 +196,11 @@ def cdh_gauss_rule(M: int, p: CdhParams) -> tuple[np.ndarray, np.ndarray]:
     diag, off = cdh_jacobi(M, p)
     # dense eigvalsh of M x M matrices, M ~ n_max: scipy.linalg's tridiagonal
     # solver would cost its import (~6 MB resident) in every process
-    lead = np.shape(diag[0])[:-1]
+    lead = diag.shape[1:-1]  # (P,) for (P, 1) columns: n moves last, the unit axis goes
     jacobi = np.zeros(lead + (M, M))
     flat = jacobi.reshape(lead + (M * M,))  # a view: strided slices are the diagonals
-    flat[..., ::M + 1] = np.reshape(diag, (M, -1)).T.reshape(lead + (M,))
-    if M > 1:
-        band = np.reshape(off, (M - 1, -1)).T.reshape(lead + (M - 1,))
-        flat[..., 1::M + 1] = band
-        flat[..., M::M + 1] = band
+    flat[..., ::M + 1] = np.moveaxis(diag, 0, -1).reshape(lead + (M,))
+    flat[..., 1::M + 1] = flat[..., M::M + 1] = np.moveaxis(off, 0, -1).reshape(lead + (M - 1,))
     y = np.linalg.eigvalsh(jacobi)
     s = cdh_orthonormal(M - 1, y, p)
     return np.sqrt(y), cdh_log_norm(0, p) - np.log(np.sum(s * s, axis=0))

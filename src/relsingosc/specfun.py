@@ -1,15 +1,16 @@
-"""Scalar special-function kernels: complex gamma machinery, generalized
-degrees, and continuous dual Hahn polynomials.
+"""Special-function kernels: complex gamma machinery, generalized degrees,
+and continuous dual Hahn polynomials.
 
 Everything here is pure and stateless. Functions accept complex scalars or
 numpy arrays and return the matching kind. Parameters (a gamma-ratio shift,
 a CDH triple) may also be arrays that broadcast against the argument, one
-value per stacked parameter point, and each point gets the digits it gets
-alone. Accuracy is the binding constraint (>= 12 significant digits on
-the verification domain), not speed; the complex gamma backend is
-scipy.special.loggamma, which meets that bar, and all ratio-type quantities
-are computed in log space so that huge/tiny gamma values never overflow
-intermediate results.
+value per stacked parameter point. A scalar and a column take the same
+path, one elementwise expression, so each stacked point gets the digits it
+gets alone. Accuracy is the binding constraint (>= 12 significant digits on
+the verification domain), not speed; the gamma backends are
+scipy.special.loggamma (complex) and gammaln (real), which meet that bar,
+and all ratio-type quantities are computed in log space so that huge/tiny
+gamma values never overflow intermediate results.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln as _gammaln
 from scipy.special import loggamma as _loggamma
 
 __all__ = [
     "CdhParams",
     "GammaPoleError",
     "DegreeLimitError",
-    "per_point",
     "log_gamma",
     "gamma_ratio",
     "generalized_degree",
@@ -54,26 +55,14 @@ def _as_complex_array(z):
     return np.asarray(z, dtype=complex)
 
 
-def _restore(out: np.ndarray, like) -> complex | np.ndarray:
-    """Return a python-friendly scalar when the input was scalar."""
-    if np.ndim(like) == 0:
-        return complex(out[()])
-    return out
+def _restore(out) -> complex | np.ndarray:
+    """A python complex for a 0-d result (all inputs scalar), else the array."""
+    return complex(out[()]) if np.ndim(out) == 0 else out
 
 
 def _nonpositive_integer_mask(z: np.ndarray) -> np.ndarray:
-    return (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
-
-
-def per_point(f, *args):
-    """f(*args) for scalars, and f at each entry of the arrays broadcast
-    together: a scalar function built on the math module, applied to a
-    stack of parameter points, gives every point the digits it gets alone
-    (numpy's kernels may differ from the math module's in the last bit)."""
-    for x in args:
-        if isinstance(x, np.ndarray) and x.ndim:
-            return np.frompyfunc(f, len(args), 1)(*args).astype(float)
-    return f(*args)
+    # real and at most 0 and whole: z equals min(floor(Re z), 0)
+    return z == np.minimum(np.floor(z.real), 0.0)
 
 
 def log_gamma(z) -> complex | np.ndarray:
@@ -82,69 +71,46 @@ def log_gamma(z) -> complex | np.ndarray:
     Raises GammaPoleError if any input is a non-positive integer.
     """
     zz = _as_complex_array(z)
-    if np.any(_nonpositive_integer_mask(zz)):
+    if np.count_nonzero(_nonpositive_integer_mask(zz)):
         raise GammaPoleError("log_gamma pole at non-positive integer argument")
-    return _restore(np.asarray(_loggamma(zz)), z)
+    return _restore(_loggamma(zz))
 
 
 def gamma_ratio(z, delta) -> complex | np.ndarray:
     """Gamma(z + delta) / Gamma(z), finite wherever the ratio is.
 
-    For integer delta this is the exact rational product, valid through the
-    poles of both gammas. For non-integer delta, poles of Gamma(z) give a
-    clean 0 (the 1/Gamma(z) factor wins) and everything else goes through
-    log-gamma differences, so the ratio never overflows even when either
-    gamma alone would. An ndarray delta broadcasts against z, and each
-    entry takes the route its own value takes.
+    delta broadcasts against z, and each entry takes the route its own
+    value takes. For integer delta this is the exact rational product,
+    valid through the poles of both gammas. For non-integer delta, poles of
+    Gamma(z) give a clean 0 (the 1/Gamma(z) factor wins) and everything else
+    goes through log-gamma differences, so the ratio never overflows even
+    when either gamma alone would.
     """
     zz = _as_complex_array(z)
-    if isinstance(delta, np.ndarray) and delta.ndim:
-        d = delta.astype(complex, copy=False)
-        shape = np.broadcast_shapes(zz.shape, d.shape)
-        z = zz = zz if zz.shape == shape else np.broadcast_to(zz, shape)
-        if (d != d.flat[0]).any():
-            return _gamma_ratio_each(zz, d)
-        delta = d.flat[0]  # one delta for every entry: the scalar route
-    d = complex(delta)
-    if d.imag == 0.0 and d.real == np.floor(d.real) and abs(d.real) <= 256:
-        k = int(d.real)
-        out = np.ones_like(zz)
-        if k >= 0:
-            for j in range(k):
-                out = out * (zz + j)
-        else:
-            den = np.ones_like(zz)
-            for j in range(1, -k + 1):
-                den = den * (zz - j)
-            out = out / den
-        return _restore(out, z)
-
-    pole = _nonpositive_integer_mask(zz)
-    safe = np.where(pole, 1.0, zz)
-    out = np.exp(_loggamma(safe + d) - _loggamma(safe))
-    out = np.where(pole, 0.0, out)
-    return _restore(np.asarray(out), z)
-
-
-def _gamma_ratio_each(zz: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """gamma_ratio with one delta per entry of zz (d broadcasts to zz): the
-    integer entries by the same products, the others by the same log-gamma
-    difference."""
-    whole = (d.imag == 0.0) & (d.real == np.floor(d.real)) & (np.abs(d.real) <= 256)
-    out = 0.0
-    if not whole.all():
+    d = np.asarray(delta, dtype=complex)
+    whole = (d == np.floor(d.real)) & (np.abs(d.real) <= 256)
+    n_whole = np.count_nonzero(whole)
+    out = None
+    if n_whole < whole.size:
+        frac = np.where(whole, 0.5, d) if n_whole else d  # integers: taken below
         pole = _nonpositive_integer_mask(zz)
-        safe = np.where(pole, 1.0, zz)
-        out = np.where(pole, 0.0, np.exp(_loggamma(safe + np.where(whole, 0.5, d)) - _loggamma(safe)))
-        if not whole.any():
-            return out
-    k = np.where(whole, d.real, 0.0).astype(int)
-    num, den = np.ones_like(zz), np.ones_like(zz)
-    for j in range(k.max()):
-        np.multiply(num, zz + j, out=num, where=j < k)
-    for j in range(1, 1 - k.min()):
-        np.multiply(den, zz - j, out=den, where=j <= -k)
-    return np.where(whole, num / den if k.min() < 0 else num, out)
+        if np.count_nonzero(pole):
+            safe = np.where(pole, 1.0, zz)
+            out = np.where(pole, 0.0, np.exp(_loggamma(safe + frac) - _loggamma(safe)))
+        else:
+            out = np.exp(_loggamma(zz + frac) - _loggamma(zz))
+    if n_whole:
+        k = np.where(whole, d.real, 0.0).astype(int)
+        ratio = np.ones(np.broadcast(zz, d).shape, dtype=complex)
+        for j in range(k.max()):
+            np.multiply(ratio, zz + j, out=ratio, where=j < k)
+        if (lowest := k.min()) < 0:
+            den = np.ones_like(ratio)
+            for j in range(1, 1 - lowest):
+                np.multiply(den, zz - j, out=den, where=j <= -k)
+            ratio = ratio / den
+        out = ratio if out is None else np.where(whole, ratio, out)
+    return _restore(out)
 
 
 def generalized_degree(rho, delta) -> complex | np.ndarray:
@@ -155,11 +121,8 @@ def generalized_degree(rho, delta) -> complex | np.ndarray:
     the negated argument. Satisfies rho^(0) = 1, rho^(1) = rho and the
     functional equation rho^(delta+1) = rho^(delta) * i(-i rho + delta).
     """
-    rr = _as_complex_array(rho)
-    d = delta.astype(complex) if isinstance(delta, np.ndarray) and delta.ndim else complex(delta)
-    phase = np.exp(1j * np.pi * d / 2)
-    out = phase * _as_complex_array(gamma_ratio(-1j * rr, d))
-    return _restore(out, rho)
+    d = np.asarray(delta, dtype=complex)
+    return _restore(np.exp(1j * np.pi * d / 2) * gamma_ratio(-1j * _as_complex_array(rho), d))
 
 
 def _all(cond) -> bool:
@@ -237,29 +200,19 @@ def cdh_poly(n: int, xsq, p: CdhParams) -> float | complex | np.ndarray:
     return total if total.ndim else total.item()
 
 
-def cdh_jacobi(M: int, p: CdhParams) -> tuple[list | np.ndarray, list | np.ndarray]:
+def cdh_jacobi(M: int, p: CdhParams) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal d_0..d_{M-1} and off-diagonal b_1..b_{M-1} of the Jacobi matrix
-    of the continuous dual Hahn polynomials in y = x^2 (KLS 9.3), as lists
-    of floats (for array parameters, arrays with n as a leading axis):
-    d_n = A_n + C_n - a^2 and b_n = sqrt(A_{n-1} C_n) = sqrt(h_n / h_{n-1}),
-    with A_n = (n+a+b)(n+a+c) and C_n = n(n+b+c-1)."""
+    of the continuous dual Hahn polynomials in y = x^2 (KLS 9.3), as arrays
+    with n on the leading axis (shape (M,) for a scalar triple, (M, P, 1)
+    for (P, 1) columns): d_n = A_n + C_n - a^2 and
+    b_n = sqrt(A_{n-1} C_n) = sqrt(h_n / h_{n-1}), with
+    A_n = (n+a+b)(n+a+c) and C_n = n(n+b+c-1)."""
     p.require_positive()
     a, b, c = p.a, p.b, p.c
-    M = int(M)
-    if np.ndim(a) or np.ndim(b) or np.ndim(c):
-        # the same operations, on every point at once: n is a leading axis
-        n = np.arange(M).reshape((-1,) + (1,) * max(np.ndim(a), np.ndim(b), np.ndim(c)))
-        na, nbc = n + a, n + b + c
-        A = (na + b) * (na + c)
-        diag = A + n * (nbc - 1.0) - a * a
-        return diag, np.sqrt(A[:-1] * (n[:-1] + 1) * nbc[:-1])
-    diag, off = [], []
-    for n in range(M):
-        A = (n + a + b) * (n + a + c)
-        diag.append(A + n * (n + b + c - 1.0) - a * a)
-        if n + 1 < M:
-            off.append(math.sqrt(A * (n + 1) * (n + b + c)))
-    return diag, off
+    n = np.arange(int(M)).reshape((-1,) + (1,) * np.broadcast(a, b, c).ndim)
+    na, nbc = n + a, n + b + c
+    A = (na + b) * (na + c)
+    return A + n * (nbc - 1.0) - a * a, np.sqrt(A[:-1] * n[1:] * nbc[:-1])
 
 
 def cdh_orthonormal(top: int, xsq, p: CdhParams, lowest: int = 0) -> np.ndarray:
@@ -276,13 +229,12 @@ def cdh_orthonormal(top: int, xsq, p: CdhParams, lowest: int = 0) -> np.ndarray:
     if not (0 <= lowest <= top and top == int(top) and lowest == int(lowest)):
         raise ValueError("degrees must be integers with 0 <= lowest <= top")
     diag, off = cdh_jacobi(int(top) + 1, p)
+    inv = 1.0 / off  # products below: complex division costs ~6 times as much
     y = np.asarray(xsq)
     y = y.astype(complex if np.iscomplexobj(y) else float)
     rows = []
-    if isinstance(diag, np.ndarray):  # parameter columns: s_0 spans them too
-        cur = np.ones(np.broadcast_shapes(y.shape, diag.shape[1:]), y.dtype)
-    else:
-        cur = np.ones_like(y)
+    # parameter columns: s_0 spans them too
+    cur = np.ones(np.broadcast(y, diag[0]).shape, y.dtype)
     prev = None
     for n in range(int(top) + 1):
         if n >= lowest:
@@ -291,7 +243,7 @@ def cdh_orthonormal(top: int, xsq, p: CdhParams, lowest: int = 0) -> np.ndarray:
             nxt = (diag[n] - y) * cur
             if n:
                 nxt -= off[n - 1] * prev
-            nxt *= 1.0 / off[n]  # a product: complex division costs ~6 times as much
+            nxt *= inv[n]
             prev, cur = cur, nxt
     return rows[0][np.newaxis] if len(rows) == 1 else np.stack(rows)
 
@@ -319,7 +271,7 @@ def cdh_weight(x, p: CdhParams) -> float | np.ndarray:
     return float(out) if np.ndim(x) == 0 else out
 
 
-def cdh_log_norm(n: int, p: CdhParams) -> float:
+def cdh_log_norm(n: int, p: CdhParams) -> float | np.ndarray:
     """log h_n of the closed-form orthogonality norm of S_n under
     cdh_weight/(2 pi) on [0, inf):
 
@@ -331,16 +283,16 @@ def cdh_log_norm(n: int, p: CdhParams) -> float:
     p.require_positive()
     if n < 0 or n != int(n):
         raise ValueError("order must be a non-negative integer")
-    return per_point(_log_norm, n, p.a, p.b, p.c)
-
-
-def _log_norm(n, a, b, c) -> float:
-    return (math.lgamma(n + a + b) + math.lgamma(n + a + c) + math.lgamma(n + b + c)
-            + math.lgamma(n + 1.0))
+    a, b, c = p.a, p.b, p.c
+    return _gammaln(n + a + b) + _gammaln(n + a + c) + _gammaln(n + b + c) + _gammaln(n + 1.0)
 
 
 def cdh_norm(n: int, p: CdhParams) -> float | np.ndarray:
     """Closed-form orthogonality norm h_n = exp(cdh_log_norm(n, p)),
     elementwise for array parameters; raises OverflowError where h_n exceeds
     the float range."""
-    return per_point(math.exp, cdh_log_norm(n, p))
+    with np.errstate(over="ignore"):
+        h = np.exp(cdh_log_norm(n, p))
+    if not np.isfinite(h).all():
+        raise OverflowError(f"continuous dual Hahn norm h_{n} exceeds the float range")
+    return h

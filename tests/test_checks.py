@@ -43,6 +43,20 @@ def test_nan_residuals_become_error_entries(cid):
     assert "nan" in out.reason
 
 
+def test_casimir_check_is_the_matrix_route_bit_for_bit():
+    # casimir-bargmann on the columns of a stack against symmetry.casimir's
+    # matrix products at each point alone
+    points = [ModelParams(*pt) for pt in COLUMN] + [P, ModelParams(2, 0, 1.0, 0.1),
+                                                    ModelParams(5, 2, 0.05, 1.0)]
+    got = checks.check_casimir(GridContext(points))
+    assert got.shape == (len(points),)
+    for i, p in enumerate(points):
+        s = oscillator.derive_params(p).s
+        target = s * (s - 1.0)
+        deviation = symmetry.casimir(p, 4) - target * np.eye(4)
+        assert got[i] == np.max(np.abs(deviation) / (abs(target) + checks._GUARD)), p
+
+
 def test_ladder_states_built_once_per_point(monkeypatch):
     builds = []
 

@@ -101,6 +101,31 @@ def test_eval_writes_suffixed_files(tmp_path, capsys):
     assert text.splitlines()[0] == "rho,re,im,abs2"
 
 
+def test_eval_out_in_a_dotted_directory(tmp_path, capsys):
+    # the extension is split off the file name only, not off a directory
+    out_dir = tmp_path / "run.v2"
+    out_dir.mkdir()
+    argv = ["eval", "--dims", "3", "--l", "0", "--omega0", "0.2", "--g0", "0.5",
+            "--n-max", "1", "--grid", "1e-8:20:50"]
+    assert run(capsys, argv + ["--out", str(out_dir / "states")])[0] == 0
+    assert run(capsys, argv + ["--out", str(out_dir / "wf.v3.csv")])[0] == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        f"{stem}.N3_l0_n{n}_w0.2_g0.5.csv" for stem in ("states", "wf.v3") for n in (0, 1)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--checks", "su11-ladder-bracket", "--format", "json"],
+    ["spectrum"],
+    ["eval", "--n-max", "1", "--grid", "1e-8:20:5"],
+])
+def test_unwritable_out_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "dir" / "r.json"
+    code, _, err = run(capsys, argv[:1] + VALID + argv[1:] + ["--out", str(out)])
+    assert code == 2
+    assert err.startswith(f"error: cannot write {tmp_path / 'missing'}")
+    assert "Traceback" not in err
+
+
 def test_eval_invalid_point_exits_2(capsys):
     code, _, err = run(capsys, ["eval", "--dims", "3", "--l", "2", "--omega0", "1.0",
                                 "--g0", "1.0", "--n-max", "0"])

@@ -246,3 +246,47 @@ def test_cdh_norm_is_elementwise_on_parameter_columns():
     with pytest.raises(OverflowError):
         cdh_norm(4, CdhParams(np.array([[0.5], [100.0]]), np.array([[0.5], [100.0]]),
                               np.array([[0.5], [100.0]])))
+
+
+# one delta per row of a (P, 1) column: whole, negative whole, zero, half-integer,
+# complex, and whole but beyond the exact-product range (|k| > 256), read at z
+# that holds the poles 0, -1 and -2 of Gamma(z)
+DELTAS = np.array([[3.0], [-2.0], [0.0], [0.5], [1.5 + 0.25j], [-257.0], [-300.0]])
+POLE_Z = np.array([0.0, -1.0, -2.0, 0.7 - 1.3j, 2.5, -1.25])
+
+
+def test_gamma_ratio_column_gives_each_delta_its_own_route():
+    got = specfun.gamma_ratio(POLE_Z, DELTAS)
+    assert got.shape == (len(DELTAS), len(POLE_Z))
+    for i, d in enumerate(DELTAS[:, 0]):
+        np.testing.assert_array_equal(got[i], specfun.gamma_ratio(POLE_Z, d))
+        for j, z in enumerate(POLE_Z):
+            alone = specfun.gamma_ratio(z, d)
+            assert isinstance(alone, complex) and alone == got[i, j], (d, z)
+    # the routes themselves: exact products through the poles, a clean 0 at a
+    # pole of Gamma(z) for the others
+    np.testing.assert_array_equal(got[0, :3], [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(got[1, :3], [1 / 2, 1 / 6, 1 / 12])
+    np.testing.assert_array_equal(got[2], np.ones(len(POLE_Z)))
+    np.testing.assert_array_equal(got[3:, :3], np.zeros((4, 3)))
+    assert got[3, 4] == pytest.approx(math.gamma(3.0) / math.gamma(2.5), rel=1e-14)
+
+
+def test_cdh_jacobi_and_log_norm_take_one_path_for_a_triple_and_a_column():
+    diag, off = specfun.cdh_jacobi(6, COLUMNS)
+    assert diag.shape == (6, 2, 1) and off.shape == (5, 2, 1)
+    for i, p in enumerate(EACH):
+        d_i, off_i = specfun.cdh_jacobi(6, p)
+        assert d_i.shape == (6,) and off_i.shape == (5,)
+        np.testing.assert_array_equal(diag[:, i, 0], d_i)
+        np.testing.assert_array_equal(off[:, i, 0], off_i)
+        log_h = [specfun.cdh_log_norm(n, p) for n in range(6)]
+        assert [specfun.cdh_log_norm(n, COLUMNS)[i, 0] for n in range(6)] == log_h
+        # b_n^2 = h_n / h_{n-1}, and log h_n the sum of four log-gammas
+        np.testing.assert_allclose(off_i ** 2, np.exp(np.diff(log_h)), rtol=1e-13)
+        a, b, c = p.a, p.b, p.c
+        for n in range(6):
+            want = (math.lgamma(n + a + b) + math.lgamma(n + a + c) + math.lgamma(n + b + c)
+                    + math.lgamma(n + 1.0))
+            assert log_h[n] == pytest.approx(want, rel=1e-14, abs=1e-14)
+    assert specfun.cdh_jacobi(1, EACH[0])[1].shape == (0,)
