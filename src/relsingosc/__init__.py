@@ -68,7 +68,6 @@ from .symmetry import (
     build_a_plus,
     build_momentum,
     casimir,
-    commutator_residual,
     generate_basis_via_ladder,
     generate_state_via_ladder,
     su11_generators,

@@ -43,11 +43,12 @@ from .oscillator import (
     energy,
     hamiltonian_radial_N,
     hamiltonian_reduced,
-    image_residual,
     nonrel_energy,
     quasipotential_scaled,
     radial_basis,
     radial_wavefunction,
+    relative_residual,
+    _GUARD,
 )
 from .quadrature import DEFAULT_RHO_MAX, cdh_gram, halfline_rule
 from .symmetry import (
@@ -69,13 +70,11 @@ __all__ = [
     "DEFAULT_GRID",
     "default_grid_points",
     "run_grid",
-    "run_point",
     "run_global",
     "NEGATIVE_CONTROL_THRESHOLD",
 ]
 
 NEGATIVE_CONTROL_THRESHOLD = 1e-3
-_GUARD = 1e-300
 
 # default verification grid; invalid combinations are auto-skipped
 DEFAULT_GRID = {
@@ -186,8 +185,7 @@ class GridContext:
                 "R": identity_op(),
                 "H": H,
                 "factorized H": compose(scale(p.omega0), op_sum(
-                    compose(build_a_plus(p), build_a_minus(p)),
-                    compose(scale(sigma), identity_op()))),
+                    compose(build_a_plus(p), build_a_minus(p)), scale(sigma))),
                 "A+": A_plus,
                 "A-": A_minus,
                 "H A+": compose(H, A_plus),
@@ -251,7 +249,7 @@ def _eigen_defects(ctx: GridContext, name: str, shift=0.0) -> np.ndarray:
     k = ctx.n_max + 1
     table = ctx.table()
     energies = ctx.basis().energies[:k] + shift
-    return image_residual(table[name][:k], table["R"][:k], energies)
+    return relative_residual(table[name][:k], energies * table["R"][:k])
 
 
 def check_eigen_residual(ctx: GridContext) -> np.ndarray:
@@ -284,7 +282,7 @@ def check_commutator_hamiltonian_ladder(ctx: GridContext) -> np.ndarray:
     """[H, A+-] = +-2 omega0 A+- pointwise on eigenbasis superpositions: the
     fixed coefficient vectors on R_0..R_3 applied to those rows of the
     H A+-, A+- H and A+- images. The residual is relative to the largest of
-    the three terms at each point, as in `symmetry.commutator_residual`."""
+    the three terms at each point."""
     table = ctx.table()
     two_w = 2.0 * ctx.params.omega0
     resids = []
@@ -312,7 +310,7 @@ def check_commutator_ladder_pair(ctx: GridContext) -> np.ndarray:
     lhs = np.diff(lc.f_energy(rung) * lc.kappa(rung) ** 2, axis=0, prepend=0.0)
     e_n = energy(rung - 1, ctx.derived, om0)
     rhs = om0 * e_n * (1.0 + 2.0 / om0 ** 2 * (e_n ** 2 - 1.0))
-    return _worst_per_point((np.abs(lhs - rhs) / (np.abs(rhs) + _GUARD))[..., 0])
+    return _worst_per_point(relative_residual(lhs, rhs))
 
 
 def check_su11_ladder_bracket(ctx: GridContext) -> np.ndarray:
@@ -320,7 +318,7 @@ def check_su11_ladder_bracket(ctx: GridContext) -> np.ndarray:
     n = degree_axis(ctx.params, 52)
     kappa2 = LadderCoefficients.from_params(ctx.params, ctx.derived).kappa(n) ** 2
     rhs = 2 * n[:-1] + (ctx.derived.alpha + ctx.derived.nu)
-    return _worst_per_point((np.abs(np.diff(kappa2, axis=0) - rhs) / np.abs(rhs))[..., 0])
+    return _worst_per_point(relative_residual(np.diff(kappa2, axis=0), rhs))
 
 
 def check_casimir(ctx: GridContext) -> np.ndarray:
@@ -333,9 +331,8 @@ def check_casimir(ctx: GridContext) -> np.ndarray:
     n = degree_axis(ctx.params, 4)
     s = ctx.derived.s
     kappa = LadderCoefficients.from_params(ctx.params, ctx.derived).kappa(n)
-    target = s * (s - 1.0)
-    deviation = ((n + s) * ((n + s) - 1.0) - kappa * kappa) - target
-    return _worst_per_point((np.abs(deviation) / (np.abs(target) + _GUARD))[..., 0])
+    return _worst_per_point(relative_residual((n + s) * ((n + s) - 1.0) - kappa * kappa,
+                                              s * (s - 1.0)))
 
 
 def _pointwise_match(got, want) -> np.ndarray:
@@ -387,8 +384,8 @@ def check_reduction_chain(ctx: GridContext) -> np.ndarray:
     # the table first: at a singular sample it raises before m divides by zero
     table = ctx.table()
     m = planewaves.reduction_multiplier(ctx.samples, ctx.params.N)
-    return _worst_per_point(image_residual(table["H_N m"][:k], m * table["R"][:k],
-                                           ctx.basis().energies[:k]))
+    return _worst_per_point(relative_residual(table["H_N m"][:k],
+                                              ctx.basis().energies[:k] * (m * table["R"][:k])))
 
 
 def check_momentum_routes(ctx: GridContext) -> np.ndarray:
@@ -396,8 +393,7 @@ def check_momentum_routes(ctx: GridContext) -> np.ndarray:
     p = ctx.params
     st = radial_wavefunction(p, 0)
     explicit, comm = images((build_momentum(p), momentum_commutator(p)), st.fn)(ctx.samples)
-    den = np.abs(explicit) + _GUARD
-    return _worst_per_point(np.max(np.abs(explicit - comm) / den, axis=-1))
+    return _worst_per_point(relative_residual(comm, explicit))
 
 
 # --------------------------------------------------------------------------
@@ -721,13 +717,6 @@ def run_grid(points, check_ids, tolerances: dict[str, float] | None = None,
             for slot, outcome in zip(slots, _run_grid_check(cid, ctx, snaps, tol)):
                 slot.append(outcome)
     return [o for outcomes in per_point for o in outcomes]
-
-
-def run_point(point, check_ids, tolerances: dict[str, float] | None = None,
-              n_max: int = 5, rho_samples=RHO_SAMPLES) -> list[CheckOutcome]:
-    """Run the selected grid-scoped checks at one grid point: the grid of
-    one point (`run_grid`)."""
-    return run_grid([point], check_ids, tolerances, n_max, rho_samples)
 
 
 def run_global(check_ids, tolerances: dict[str, float] | None = None) -> list[CheckOutcome]:

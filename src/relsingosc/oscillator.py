@@ -64,7 +64,7 @@ __all__ = [
     "hamiltonian_reduced",
     "hamiltonian_radial_N",
     "eigen_residual",
-    "image_residual",
+    "relative_residual",
     "RHO_SAMPLES",
     "STATE_STRIP_HALFWIDTH",
 ]
@@ -77,7 +77,9 @@ RHO_SAMPLES = (0.3, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 # operator chains in use (commutators: 4 units; ladder generation: 2 per rung)
 STATE_STRIP_HALFWIDTH = 18.0
 
-_RESIDUAL_GUARD = 1e-300
+# added to the denominator of every relative residual: keeps a zero
+# reference value from dividing by zero
+_GUARD = 1e-300
 _LN2 = math.log(2.0)
 
 
@@ -505,12 +507,12 @@ def eigen_residual(op: LinearOperator, state_fn: AnalyticFunction, e_value,
     over the points: a float for one state; for a function with leading axes
     (a basis, with e_value one energy per row as shape (rows, 1)), one
     residual per row. The image and the values come from one read of f."""
-    pts = np.asarray(points, dtype=float)
-    return image_residual(*images((op, identity_op()), state_fn)(pts), e_value)
+    image, values = images((op, identity_op()), state_fn)(np.asarray(points, dtype=float))
+    return relative_residual(image, e_value * values)
 
 
-def image_residual(image, values, e_value):
-    """eigen_residual from op f and f already taken at the points (last axis)."""
-    rhs = e_value * values
-    out = np.max(np.abs(image - rhs) / (np.abs(rhs) + _RESIDUAL_GUARD), axis=-1)
+def relative_residual(got, want):
+    """max |got - want| / (|want| + 1e-300) over the last axis: a float
+    where that leaves no axis, else one residual per leading index."""
+    out = np.max(np.abs(got - want) / (np.abs(want) + _GUARD), axis=-1)
     return float(out) if out.ndim == 0 else out

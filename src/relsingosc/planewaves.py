@@ -162,8 +162,6 @@ def xi_nonrel_deviation(momentum: float, r: float, costheta: float,
     deviation from the flat plane wave is O(lambda_bar).
     """
     chi = float(np.arcsinh(momentum * lambda_bar))
-    rho = r / lambda_bar
-    q = np.cosh(chi) - np.sinh(chi) * costheta
-    rel = np.exp((-1.0 - 1j * rho) * np.log(q))
+    rel = _xi(3, chi, r / lambda_bar, costheta)
     flat = np.exp(1j * momentum * r * costheta)
     return float(abs(rel - flat))

@@ -44,7 +44,8 @@ MAX_CDH_DEGREE = 200
 
 
 class GammaPoleError(ValueError):
-    """log_gamma evaluated at a non-positive integer."""
+    """A gamma evaluated at a pole: log_gamma at a non-positive integer, or
+    gamma_ratio where Gamma(z + delta) has a pole and Gamma(z) does not."""
 
 
 class DegreeLimitError(ValueError):
@@ -84,7 +85,9 @@ def gamma_ratio(z, delta) -> complex | np.ndarray:
     valid through the poles of both gammas. For non-integer delta, poles of
     Gamma(z) give a clean 0 (the 1/Gamma(z) factor wins) and everything else
     goes through log-gamma differences, so the ratio never overflows even
-    when either gamma alone would.
+    when either gamma alone would. Where Gamma(z + delta) alone has a pole,
+    the ratio is infinite and GammaPoleError names the argument; that is
+    looked for only where the result is not finite.
     """
     zz = _as_complex_array(z)
     d = np.asarray(delta, dtype=complex)
@@ -99,6 +102,12 @@ def gamma_ratio(z, delta) -> complex | np.ndarray:
             out = np.where(pole, 0.0, np.exp(_loggamma(safe + frac) - _loggamma(safe)))
         else:
             out = np.exp(_loggamma(zz + frac) - _loggamma(zz))
+        if not np.isfinite(out).all():
+            arg = np.broadcast_to(zz + frac, out.shape)
+            bad = _nonpositive_integer_mask(arg) & ~pole & ~whole
+            if np.count_nonzero(bad):
+                raise GammaPoleError(f"gamma_ratio pole: Gamma(z + delta) at non-positive "
+                                     f"integer argument z + delta = {arg[bad][0].real:g}")
     if n_whole:
         k = np.where(whole, d.real, 0.0).astype(int)
         ratio = np.ones(np.broadcast(zz, d).shape, dtype=complex)

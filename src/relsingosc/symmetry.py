@@ -38,13 +38,11 @@ from .operators import (
     AnalyticFunction,
     LinearOperator,
     compose,
-    images,
     multiply_by,
     op_sum,
     powers,
     scale,
     shift,
-    sinh_shift,
 )
 from .oscillator import (
     DerivedParams,
@@ -72,12 +70,10 @@ __all__ = [
     "k_raise_pointwise",
     "k_lower_pointwise",
     "casimir",
-    "commutator_residual",
     "generate_basis_via_ladder",
     "generate_state_via_ladder",
 ]
 
-_GUARD = 1e-300
 # largest n of the pointwise (K+)^n route; each rung consumes two units of
 # the strip of R_0
 MAX_RUNGS = 8
@@ -171,22 +167,14 @@ def build_momentum(p: ModelParams) -> LinearOperator:
 
         P = -[ sinh(i d) + ( omega0^2 rho^(2)/2 + (g0 + L(L+1)/2)/rho^(2) ) e^{i d} ]
 
-    It agrees pointwise with its definition i[H, rho] (`momentum_commutator`,
-    compared in the test suite and the `momentum-routes` check); the
-    multiplication term enters with a plus sign, which is what the
-    commutator identity fixes.
+    Since cosh(i d) - sinh(i d) = e^{-i d}, this is e^{-i d} - H, and it is
+    built as that, so the potential is written once, in
+    `hamiltonian_reduced`. It agrees pointwise with its definition i[H, rho]
+    (`momentum_commutator`, compared in the test suite and the
+    `momentum-routes` check); the multiplication term enters with a plus
+    sign, which is what the commutator identity fixes.
     """
-    c_inv = p.g0 + p.L * (p.L + 1.0) / 2.0
-    half_w2 = 0.5 * p.omega0 ** 2
-
-    def factor(z):
-        r2 = z * (z + 1j)
-        return half_w2 * r2 + c_inv / r2
-
-    return compose(scale(-1.0), op_sum(
-        sinh_shift(),
-        compose(multiply_by(factor, singular_points=(0.0, -1.0j)), shift(1.0j)),
-    ))
+    return op_sum(compose(scale(-1.0), hamiltonian_reduced(p)), shift(-1.0j))
 
 
 def momentum_commutator(p: ModelParams) -> LinearOperator:
@@ -302,28 +290,6 @@ def k_lower_pointwise(state: RadialState) -> AnalyticFunction:
     lc = LadderCoefficients.from_params(state.params, state.derived)
     Am = build_A_minus(state.params)
     return compose(scale(lc.spectral_scalar(state.n)), Am).apply(state.fn)
-
-
-def commutator_residual(X: LinearOperator, Y: LinearOperator, rhs: LinearOperator,
-                        testfns, points) -> float:
-    """Max relative pointwise residual of (XY - YX - rhs) over test functions.
-
-    XY and YX are applied as composed stencils, and the images XY f, YX f
-    and rhs f come from one read of each test function on the union of
-    their offsets (`images`). The denominator is the largest of |XYf|,
-    |YXf|, |rhs f| at each point (plus an underflow guard), so [X, X]
-    against rhs = 0 is exactly zero. Test functions may carry leading axes;
-    every row counts.
-    """
-    pts = np.asarray(points, dtype=float)
-    ops = (compose(X, Y), compose(Y, X), rhs)
-    resids = []
-    for f in testfns:
-        xy, yx, r = images(ops, f)(pts)
-        num = np.abs(xy - yx - r)
-        den = np.maximum(np.maximum(np.abs(xy), np.abs(yx)), np.abs(r)) + _GUARD
-        resids.append(np.max(num / den))
-    return float(np.max(resids, initial=0.0))  # unlike the builtin max, keeps a nan
 
 
 def generate_basis_via_ladder(p: ModelParams, top: int) -> RadialBasis:

@@ -73,7 +73,7 @@ def test_ladder_states_built_once_per_point(monkeypatch):
 
 
 def test_point_evaluates_states_in_few_stacked_calls(monkeypatch):
-    """One run_point reads its states through a handful of stacked
+    """A grid of one point reads its states through a handful of stacked
     evaluations, not one evaluation per state, superposition and ladder
     chain: the basis once at the samples for the whole image table and once
     per Gauss rule, R_0 once for each ladder check and once for
@@ -100,7 +100,7 @@ def test_point_evaluates_states_in_few_stacked_calls(monkeypatch):
     samples = np.asarray(oscillator.RHO_SAMPLES)
     # one point, then the four points of the verify-grid column, which are
     # read together: the same reads, each over every point
-    for run in (lambda: checks.run_point((3, 1, 0.2, 1.0), GRID_IDS),
+    for run in (lambda: checks.run_grid([(3, 1, 0.2, 1.0)], GRID_IDS),
                 lambda: checks.run_grid(COLUMN, GRID_IDS)):
         basis_reads.clear()
         state_reads.clear()
@@ -167,7 +167,7 @@ def test_grid_sweep_equals_the_point_sweeps():
     # residual bit for bit, that the points give one at a time
     points = checks.default_grid_points()
     grid = checks.run_grid(points, GRID_IDS)
-    alone = [o for pt in points for o in checks.run_point(pt, GRID_IDS)]
+    alone = [o for pt in points for o in checks.run_grid([pt], GRID_IDS)]
     assert _entries(grid) == _entries(alone)
     assert len(grid) == 72 * len(GRID_IDS)
     assert sum(o.status == "ran" for o in grid) == 40 * len(GRID_IDS)
@@ -202,12 +202,12 @@ def test_small_omega0_residuals_reach_rounding():
     # offsets, so the shifted values share their base's rounding: at
     # omega0 = 1e-4 the eigen-residual reaches rounding (it read 1.3e-10
     # with one envelope per offset), and the ladder action passes
-    out = {o.check_id: o for o in checks.run_point(
-        (3, 1, 1e-4, 1.0), ["eigen-residual", "ladder-action"], n_max=5)}
+    out = {o.check_id: o for o in checks.run_grid(
+        [(3, 1, 1e-4, 1.0)], ["eigen-residual", "ladder-action"], n_max=5)}
     assert out["eigen-residual"].passed and out["eigen-residual"].residual <= 1e-13
     assert out["ladder-action"].passed
 
 
 def test_ladder_route_passes_at_omega0_1e_3():
-    out, = checks.run_point((3, 1, 1e-3, 1.0), ["state-generation"], n_max=5)
+    out, = checks.run_grid([(3, 1, 1e-3, 1.0)], ["state-generation"], n_max=5)
     assert out.status == "ran" and out.passed

@@ -34,6 +34,25 @@ def test_log_gamma_pole_raises():
         log_gamma(np.array([1.0, -3.0 + 0j]))
 
 
+def test_gamma_ratio_raises_at_a_pole_of_the_numerator():
+    # Gamma(z + delta) has a pole where Gamma(z) has none: the ratio is
+    # infinite, and it raises as log_gamma does instead of returning nan
+    with pytest.raises(GammaPoleError, match=r"z \+ delta = -1$"):
+        specfun.gamma_ratio(-1.5, 0.5)
+    with pytest.raises(GammaPoleError, match=r"z \+ delta = -1$"):
+        generalized_degree(-1.5j, 0.5)
+    # one such entry among finite ones, in z and in a delta column
+    with pytest.raises(GammaPoleError, match=r"z \+ delta = -2$"):
+        specfun.gamma_ratio(np.array([0.3, -2.5, 2.0 - 1j]), 0.5)
+    with pytest.raises(GammaPoleError, match=r"z \+ delta = -1$"):
+        specfun.gamma_ratio(-1.5, np.array([[1.0], [0.5]]))
+    # beside the poles, and at a pole of Gamma(z) or of both, nothing raises
+    assert np.all(np.isfinite(specfun.gamma_ratio(np.array([0.3, -2.25, 2.0 - 1j]), 0.5)))
+    assert specfun.gamma_ratio(-1.5, 1.0) == -1.5
+    assert specfun.gamma_ratio(-2.0, 0.5) == 0
+    assert specfun.gamma_ratio(-2.0, 1.0) == -2.0
+
+
 def test_generalized_degree_low_orders():
     for _ in range(20):
         rho = complex(RNG.uniform(-3, 3), RNG.uniform(-0.5, 0.5))

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relsingosc import operators, symmetry
+from relsingosc.checks import CHECKS, GridContext
 from relsingosc.operators import (
     AnalyticFunction,
     LinearOperator,
@@ -18,6 +19,7 @@ from relsingosc.operators import (
 from relsingosc.oscillator import (
     RHO_SAMPLES,
     ModelParams,
+    PointStack,
     derive_params,
     eigen_residual,
     hamiltonian_reduced,
@@ -35,7 +37,6 @@ from relsingosc.symmetry import (
     build_a_plus,
     build_momentum,
     casimir,
-    commutator_residual,
     generate_basis_via_ladder,
     generate_state_via_ladder,
     k_lower_pointwise,
@@ -112,6 +113,33 @@ def test_momentum_on_constant():
     assert Pm.apply(one)(rho) == pytest.approx(-M, rel=1e-14)
 
 
+@pytest.mark.parametrize("p", [P, PointStack([P, ModelParams(5, 2, 0.05, 1.0),
+                                               ModelParams(2, 0, 1.0, 0.1)])])
+def test_momentum_is_the_literal_stencil_bit_for_bit(p):
+    # e^{-i d} - H against the stencil of the docstring, built literally:
+    # -[sinh(i d) + (omega0^2 rho^(2)/2 + (g0 + L(L+1)/2)/rho^(2)) e^{i d}].
+    # Every bit agrees but the sign of a zero imaginary part (the literal's
+    # e^{-i d} coefficient is -1 times -1/2, that is 1/2 - 0i), which + 0.0
+    # clears; it changes no value of an image
+    c_inv = p.g0 + p.L * (p.L + 1.0) / 2.0
+    half_w2 = 0.5 * p.omega0 ** 2
+
+    def factor(z):
+        r2 = z * (z + 1j)
+        return half_w2 * r2 + c_inv / r2
+
+    literal = compose(scale(-1.0), op_sum(
+        sinh_shift(),
+        compose(multiply_by(factor, singular_points=(0.0, -1.0j)), shift(1.0j)),
+    ))
+    got = build_momentum(p)
+    z = np.broadcast_to(PTS + 0.25j, np.shape(p.omega0)[:1] + PTS.shape)
+    assert got.offsets == literal.offsets
+    assert got.singular_points == literal.singular_points
+    np.testing.assert_array_equal((got.coefficients(z) + 0.0).view(np.int64),
+                                  (literal.coefficients(z) + 0.0).view(np.int64))
+
+
 def test_momentum_commutator_route_agrees(states):
     explicit = build_momentum(P)
     comm = momentum_commutator(P)
@@ -182,19 +210,10 @@ def test_intertwining_relation(states):
         assert _rel(lhs, rhs) < 1e-8
 
 
-def test_commutator_hamiltonian_ladder(states):
-    H = hamiltonian_reduced(P)
-    Ap, Am = build_A_plus(P), build_A_minus(P)
-    fns = [_superpositions([(1.0, 0.5, -0.25, 0.125), (0.3 + 0.4j, -0.7, 0.2j, 0.1)])]
-    assert commutator_residual(H, Ap, compose(scale(2 * P.omega0), Ap), fns, PTS) < 1e-7
-    assert commutator_residual(H, Am, compose(scale(-2 * P.omega0), Am), fns, PTS) < 1e-7
-
-
-def test_commutator_self_is_exactly_zero(states):
-    Ap = build_A_plus(P)
-    zero = compose(scale(0.0), identity_op())
-    f = states[0].fn
-    assert commutator_residual(Ap, Ap, zero, [f], (0.5, 2.0)) == 0.0
+def test_commutator_hamiltonian_ladder():
+    # [H, A+-] = +-2 omega0 A+- on superpositions of R_0..R_3
+    residual, = CHECKS["commutator-hamiltonian-ladder"].runner(GridContext(P))
+    assert residual < 1e-7
 
 
 def test_ladder_pair_commutator_coefficient_identity():
