@@ -27,7 +27,10 @@ rho + tau_j, and on a long grid once per block of the grid's last axis
 offsets (`shifted`): the radial states reach the offsets of one class,
 those a whole multiple of i apart, from one evaluation of their gamma
 envelope, and an image then asks for that read in place of evaluating
-the function on every stacked point.
+the function on every stacked point. Every image reads itself on offsets
+too: on outer offsets sigma it reads its argument once, on the sum set of
+the sigma_k + tau_j, so H(A+ f) reads f once, on the seven offsets of
+compose(H, A+), as the composed image does.
 
 A function's values may carry leading axes: f(rho) of shape lead +
 rho.shape holds one function per index of lead, a basis R_0..R_K say.
@@ -100,7 +103,9 @@ class AnalyticFunction:
     taus, an array, and returns an evaluator of z that gives what
     fn(z + taus_j stacked on a new axis) gives, shape lead + (len(taus),)
     + z.shape, by a route of its own; without it an image evaluates fn on
-    the stacked points.
+    the stacked points. The caller checks taus against the strip. Images
+    have this rule themselves: an image of an image reads the inner
+    image's argument once, on the sums of the two images' offsets.
     """
 
     __slots__ = ("fn", "strip_halfwidth", "singular_points", "shifted")
@@ -204,6 +209,20 @@ def _lone_row(rows):
     return rows[0]
 
 
+def _blocked(read: Callable, zz: np.ndarray, per_point: int):
+    """read(zz), on a grid of more than _BLOCK_POINTS stacked points (per_point
+    for each point of zz) once per block of its last axis, in blocks of
+    nearly equal width; a point alone is read as a one-point grid."""
+    if zz.ndim == 0:  # as a one-point grid: numpy's complex scalar products round otherwise
+        return read(zz[None])[..., 0]
+    width = zz.shape[-1]
+    blocks = min(-(-per_point * zz.size // _BLOCK_POINTS), width)
+    if blocks <= 1:
+        return read(zz)
+    edges = width * np.arange(blocks + 1) // blocks
+    return np.concatenate([read(zz[..., a:b]) for a, b in zip(edges[:-1], edges[1:])], axis=-1)
+
+
 def _read_once(f: AnalyticFunction, offset_lists, points: tuple, tables: Callable,
                finish: Callable) -> AnalyticFunction:
     """The images sum_j t_j(rho) f(rho + tau_j) of several stencils, from one
@@ -215,43 +234,56 @@ def _read_once(f: AnalyticFunction, offset_lists, points: tuple, tables: Callabl
     largest |Im tau| of the union, and evaluation at any of points raises.
     f is read through its `shifted` evaluator where it has one, and on a
     grid of more than _BLOCK_POINTS stacked points once per block of its
-    last axis, in blocks of nearly equal width.
+    last axis.
+
+    The image reads itself on offsets too: on outer offsets sigma it reads f
+    once at z, on the sum set of the sigma_k + tau_j, and evaluates the
+    tables on the stacked points z + sigma_k, so an image of an image costs
+    one read of f. The plain evaluation is the same read without sigma.
     """
     offsets = tuple(dict.fromkeys(t for taus in offset_lists for t in taus))
-    budget = max(abs(t.imag) for t in offsets)
-    _check_budget(f, budget)
-    index = {t: i for i, t in enumerate(offsets)}
-    rows = [slice(None) if tuple(taus) == offsets else np.array([index[t] for t in taus])
-            for taus in offset_lists]
-    taus = np.asarray(offsets)
     points = tuple(dict.fromkeys(points))
-    if f.shifted is not None:
-        inner = f.shifted(taus)
-    else:
-        fn = f.fn
 
-        def inner(zz):
-            return fn(_stack(zz, taus))
+    def reader(sigmas):
+        outer = (0j,) if sigmas is None else tuple(complex(s) for s in np.ravel(sigmas))
+        sums = offsets if sigmas is None else tuple(
+            dict.fromkeys(s + t for s in outer for t in offsets))
+        _check_budget(f, max(abs(u.imag) for u in sums))
+        index = {u: i for i, u in enumerate(sums)}
+        rows = [np.array([[index[s + t] for s in outer] for t in taus]) for taus in offset_lists]
+        if sigmas is None:
+            rows = [slice(None) if tuple(taus) == sums else r[:, 0]
+                    for taus, r in zip(offset_lists, rows)]
+        at = np.asarray(sums)
+        if f.shifted is not None:
+            inner = f.shifted(at)
+        else:
+            fn = f.fn
 
-    def read(zz):
-        values = _offsets_first(inner(zz), zz.ndim)
-        return finish([np.einsum("j...,j...->...", t, values[r]) for t, r in zip(tables(zz), rows)])
+            def inner(zz):
+                return fn(_stack(zz, at))
 
-    def ev(z):
-        zz = np.asarray(z, dtype=complex)
-        _check_singular(zz, points)
-        if zz.ndim == 0:
-            return read(zz)[()]
-        width = zz.shape[-1]
-        blocks = min(-(-len(offsets) * zz.size // _BLOCK_POINTS), width)
-        if blocks <= 1:
-            return read(zz)
-        edges = width * np.arange(blocks + 1) // blocks
-        parts = [read(zz[..., a:b]) for a, b in zip(edges[:-1], edges[1:])]
-        return np.concatenate(parts, axis=-1)
+        sig = np.asarray(outer)
 
-    strip = max(f.strip_halfwidth - budget, 0.0)
-    return AnalyticFunction(ev, strip, points + _moved(f.singular_points, offsets))
+        def read(zz):
+            zs = zz if sigmas is None else _stack(zz, sig)
+            _check_singular(zs, points)
+            values = _offsets_first(inner(zz), zz.ndim)
+            if sigmas is None:
+                parts = (values[r] for r in rows)
+            else:  # the sigma axis goes after f's leading axes
+                parts = (np.moveaxis(values[r], 1, -zz.ndim - 1) for r in rows)
+            return finish([np.einsum("j...,j...->...", t, v) for t, v in zip(tables(zs), parts)])
+
+        def ev(z):
+            return _blocked(read, np.asarray(z, dtype=complex), len(offsets) * len(outer))
+
+        return ev
+
+    ev = reader(None)  # checks the strip budget of the offsets
+    strip = max(f.strip_halfwidth - max(abs(t.imag) for t in offsets), 0.0)
+    return AnalyticFunction(ev, strip, points + _moved(f.singular_points, offsets),
+                            shifted=reader)
 
 
 def _constant(taus, cs) -> LinearOperator:

@@ -240,21 +240,25 @@ def cdh_orthonormal(top: int, xsq, p: CdhParams, lowest: int = 0) -> np.ndarray:
     diag, off = cdh_jacobi(int(top) + 1, p)
     inv = 1.0 / off  # products below: complex division costs ~6 times as much
     y = np.asarray(xsq)
-    y = y.astype(complex if np.iscomplexobj(y) else float)
-    rows = []
+    y = np.asarray(y, dtype=complex if np.iscomplexobj(y) else float)
     # parameter columns: s_0 spans them too
     cur = np.ones(np.broadcast(y, diag[0]).shape, y.dtype)
-    prev = None
+    rows = np.empty((int(top) + 1 - int(lowest),) + cur.shape, y.dtype)
+    # three buffers in rotation, each product with its operands in the order
+    # of (d_n - x^2) s_n - b_n s_{n-1}
+    prev, nxt = np.empty_like(cur), np.empty_like(cur)
     for n in range(int(top) + 1):
         if n >= lowest:
-            rows.append(cur)
+            rows[n - lowest] = cur
         if n < top:
-            nxt = (diag[n] - y) * cur
+            np.subtract(diag[n], y, out=nxt)
+            nxt *= cur
             if n:
-                nxt -= off[n - 1] * prev
+                np.multiply(off[n - 1], prev, out=prev)
+                nxt -= prev
             nxt *= inv[n]
-            prev, cur = cur, nxt
-    return rows[0][np.newaxis] if len(rows) == 1 else np.stack(rows)
+            prev, cur, nxt = cur, nxt, prev
+    return rows
 
 
 def cdh_log_weight(x, p: CdhParams) -> float | np.ndarray:

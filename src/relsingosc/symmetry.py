@@ -277,19 +277,22 @@ def casimir(p: ModelParams, size: int) -> np.ndarray:
     return k0 @ (k0 - np.eye(len(k0))) - k_plus @ k_minus
 
 
+def _scaled(c, image: AnalyticFunction) -> AnalyticFunction:
+    """c times the image, on the image's strip and singular points."""
+    return AnalyticFunction(lambda z: c * image(z), image.strip_halfwidth, image.singular_points)
+
+
 def k_raise_pointwise(state: RadialState) -> AnalyticFunction:
     """K+ R_n as an evaluable function: the spectral scalar -f(E_{n+1})^(-1/2)
     times A+ R_n; equals kappa_{n+1} R_{n+1} up to the verified residual."""
     lc = LadderCoefficients.from_params(state.params, state.derived)
-    Ap = build_A_plus(state.params)
-    return compose(scale(lc.spectral_scalar(state.n + 1)), Ap).apply(state.fn)
+    return _scaled(lc.spectral_scalar(state.n + 1), build_A_plus(state.params).apply(state.fn))
 
 
 def k_lower_pointwise(state: RadialState) -> AnalyticFunction:
     """K- R_n = -f(E_n)^(-1/2) A- R_n; equals kappa_n R_{n-1} (zero for n = 0)."""
     lc = LadderCoefficients.from_params(state.params, state.derived)
-    Am = build_A_minus(state.params)
-    return compose(scale(lc.spectral_scalar(state.n)), Am).apply(state.fn)
+    return _scaled(lc.spectral_scalar(state.n), build_A_minus(state.params).apply(state.fn))
 
 
 def generate_basis_via_ladder(p: ModelParams, top: int) -> RadialBasis:

@@ -22,7 +22,13 @@ from relsingosc.operators import (
     sinh_shift,
     taylor_limit_check,
 )
-from relsingosc.oscillator import RHO_SAMPLES, ModelParams, hamiltonian_reduced, radial_wavefunction
+from relsingosc.oscillator import (
+    RHO_SAMPLES,
+    ModelParams,
+    hamiltonian_reduced,
+    radial_basis,
+    radial_wavefunction,
+)
 from scipy.special import rgamma
 
 RNG = np.random.default_rng(7)
@@ -203,8 +209,8 @@ def test_image_evaluates_its_argument_once_per_call(monkeypatch):
     image = compose(hamiltonian_reduced(P3), symmetry.build_A_plus(P3)).apply(r0.fn)
     calls.clear()
     image(pts)
-    image(pts[1])
-    assert calls == [(7, 7), (7,)]
+    image(pts[1])  # a point alone is read as a one-point grid
+    assert calls == [(7, 7), (7, 1)]
 
     r4 = symmetry.generate_state_via_ladder(P3, 4)
     calls.clear()
@@ -233,12 +239,14 @@ def test_a_long_grid_is_read_in_blocks():
     H.apply(f)(rho)
     assert reads == [(2, (1666,)), (2, (1667,)), (2, (1667,))]
     reads.clear()
-    # the outer image reads its 2 x 5000 stacked points in 3 blocks, and
-    # the inner one each of its 5 x 2 x ~1667 in 5 more
+    # the outer image reads its 2 x 5000 stacked points in 3 blocks, and the
+    # inner one reads each block through its shifted rule, 2 x 5 x ~1667
+    # stacked points in 5 more; each of those reads the state once, on the 7
+    # offsets of the sum set
     H.apply(Ap.apply(f))(rho)
-    assert len(reads) == 15
-    assert max(k * np.prod(shape) for k, shape in reads) <= operators._BLOCK_POINTS
-    assert sum(np.prod(shape) for _, shape in reads) == 2 * len(rho)
+    assert len(reads) == 15 and {k for k, _ in reads} == {7}
+    assert max(2 * 5 * np.prod(shape) for _, shape in reads) <= operators._BLOCK_POINTS
+    assert sum(np.prod(shape) for _, shape in reads) == len(rho)
 
 
 @pytest.mark.parametrize("kind", ["H", "H A+", "A+ H", "powers", "ladder"])
@@ -434,3 +442,100 @@ def test_images_keep_the_strip_and_singular_point_checks():
             g(bad)
     with pytest.raises(ValueError):
         images([], f)
+
+
+# --------------------------------------------------------------------------
+# images of images: the inner image reads itself on the outer offsets
+# --------------------------------------------------------------------------
+
+def test_a_nested_commutator_reads_the_state_once_per_sample(monkeypatch):
+    # H A+ and A+ H both reach the state on the sum set -3i..3i, one class of
+    # offsets: one gamma envelope and 7 CDH points per sample on each side
+    from relsingosc import specfun
+    counts = {"log_gamma": 0, "cdh_orthonormal": 0}
+
+    def counted(name, arg):
+        inner = getattr(specfun, name)
+
+        def ev(*args, **kwargs):
+            counts[name] += np.size(args[arg])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, name, ev)
+
+    counted("log_gamma", 0)
+    counted("cdh_orthonormal", 1)
+    H, Ap = hamiltonian_reduced(P3), symmetry.build_A_plus(P3)
+    f = radial_wavefunction(P3, 2).fn
+    rho = np.linspace(0.3, 20.0, 300)
+    for image in (H.apply(Ap.apply(f)), Ap.apply(H.apply(f))):
+        counts.update(log_gamma=0, cdh_orthonormal=0)
+        image(rho)
+        assert counts == {"log_gamma": len(rho), "cdh_orthonormal": 7 * len(rho)}
+
+
+def _nested_cases():
+    H, Ap, Am = hamiltonian_reduced(P3), symmetry.build_A_plus(P3), symmetry.build_A_minus(P3)
+    state = radial_wavefunction(P3, 3).fn
+    basis = radial_basis(P3, 4).fn
+    return {
+        "H A+ R_3": (lambda: H.apply(Ap.apply(state)), [compose(H, Ap).apply(state)]),
+        "A+ H R_3": (lambda: Ap.apply(H.apply(state)), [compose(Ap, H).apply(state)]),
+        "H A- basis": (lambda: H.apply(Am.apply(basis)), [compose(H, Am).apply(basis)]),
+        "A- images basis": (lambda: Am.apply(images([H, Ap], basis)),
+                            [compose(Am, H).apply(basis), compose(Am, Ap).apply(basis)]),
+        "H powers R_3": (lambda: H.apply(powers(Ap, 2, state)),
+                         [compose(H, *[Ap] * n).apply(state) if n else H.apply(state)
+                          for n in range(3)]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_nested_cases()))
+def test_nested_images_are_the_composed_images(name):
+    nested, composed = _nested_cases()[name]
+    rho = np.concatenate([np.asarray(RHO_SAMPLES), np.linspace(0.3, 20.0, 301)])
+    got = nested()(rho)
+    want = np.stack([c(rho) for c in composed]) if len(composed) > 1 else composed[0](rho)
+    assert got.shape == want.shape
+    for idx in np.ndindex(*got.shape[:-1]):
+        # A- R_0 vanishes: rounding is measured on the image's scale
+        assert np.max(np.abs(got[idx] - want[idx])) <= 1e-13 * np.max(np.abs(want)), idx
+
+
+@pytest.mark.parametrize("name", sorted(_nested_cases()))
+def test_a_nested_image_reads_a_point_as_an_array_reads_it(name):
+    image = _nested_cases()[name][0]()
+    rho = np.asarray(RHO_SAMPLES)
+    values = image(rho)
+    for k, r in enumerate(rho):
+        np.testing.assert_array_equal(image(r), values[..., k])
+    # the shifted rule of an image, alone
+    inner = symmetry.build_A_plus(P3).apply(radial_wavefunction(P3, 2).fn)
+    read = inner.shifted(np.array([1j, 0.0, -1j]))
+    values = read(rho)
+    assert values.shape == (3,) + rho.shape
+    for k, r in enumerate(rho):
+        np.testing.assert_array_equal(read(r), values[:, k])
+
+
+def test_nested_images_keep_the_strip_and_singular_point_checks():
+    f = AnalyticFunction(lambda z: np.exp(-z ** 2), strip_halfwidth=1.5)
+    inverse = multiply_by(lambda z: 1.0 / z, singular_points=(0.0,))
+    inner = cosh_shift().apply(inverse.apply(f))  # strip 0.5 left
+    outer = cosh_shift(0.5).apply(inner)
+    assert outer.strip_halfwidth == pytest.approx(0.0)
+    np.testing.assert_allclose(outer(2.0), 0.25 * sum(
+        f(2.0 + s + t) / (2.0 + s + t) for s in (0.5j, -0.5j) for t in (1j, -1j)), rtol=1e-14)
+    # inverse's singular point, reached at z + sigma + tau = 0 through two
+    # nested shifted reads
+    for bad in (1.5j, np.array([2.0, -0.5j])):
+        with pytest.raises(SingularPointError):
+            outer(bad)
+    with pytest.raises(SingularPointError):
+        shift(3.0).apply(inverse.apply(f))(np.array([1.0, -3.0]))
+    # an exhausted inner strip stops the outer image, and a direct read of the
+    # inner image on offsets beyond its strip
+    with pytest.raises(StripExhaustedError):
+        cosh_shift().apply(inner)
+    with pytest.raises(StripExhaustedError):
+        inner.shifted(np.array([1j]))
