@@ -243,12 +243,13 @@ def cdh_orthonormal(top: int, xsq, p: CdhParams, lowest: int = 0) -> np.ndarray:
     y = np.asarray(y, dtype=complex if np.iscomplexobj(y) else float)
     # parameter columns: s_0 spans them too
     cur = np.ones(np.broadcast(y, diag[0]).shape, y.dtype)
-    rows = np.empty((int(top) + 1 - int(lowest),) + cur.shape, y.dtype)
+    # a lone row is the last buffer itself
+    rows = np.empty((int(top) + 1 - int(lowest),) + cur.shape, y.dtype) if lowest < top else None
     # three buffers in rotation, each product with its operands in the order
     # of (d_n - x^2) s_n - b_n s_{n-1}
     prev, nxt = np.empty_like(cur), np.empty_like(cur)
     for n in range(int(top) + 1):
-        if n >= lowest:
+        if rows is not None and n >= lowest:
             rows[n - lowest] = cur
         if n < top:
             np.subtract(diag[n], y, out=nxt)
@@ -258,7 +259,7 @@ def cdh_orthonormal(top: int, xsq, p: CdhParams, lowest: int = 0) -> np.ndarray:
                 nxt -= prev
             nxt *= inv[n]
             prev, cur, nxt = cur, nxt, prev
-    return rows
+    return cur[np.newaxis] if rows is None else rows
 
 
 def cdh_log_weight(x, p: CdhParams) -> float | np.ndarray:

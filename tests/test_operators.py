@@ -509,13 +509,20 @@ def test_a_nested_image_reads_a_point_as_an_array_reads_it(name):
     values = image(rho)
     for k, r in enumerate(rho):
         np.testing.assert_array_equal(image(r), values[..., k])
-    # the shifted rule of an image, alone
-    inner = symmetry.build_A_plus(P3).apply(radial_wavefunction(P3, 2).fn)
-    read = inner.shifted(np.array([1j, 0.0, -1j]))
+
+
+def test_an_image_reads_itself_on_offsets():
+    image = images([symmetry.build_A_plus(P3), identity_op()], radial_basis(P3, 2).fn)
+    taus = np.array([1j, 0.0, -0.5j, 2.0])
+    read = image.shifted(taus)
+    rho = np.asarray(RHO_SAMPLES)
     values = read(rho)
-    assert values.shape == (3,) + rho.shape
+    assert values.shape == (2, 3, 4) + rho.shape
+    for k, tau in enumerate(taus):
+        want = image(rho + tau)
+        assert np.max(np.abs(values[..., k, :] - want)) <= 1e-14 * np.max(np.abs(want))
     for k, r in enumerate(rho):
-        np.testing.assert_array_equal(read(r), values[:, k])
+        np.testing.assert_array_equal(read(r), values[..., k])
 
 
 def test_nested_images_keep_the_strip_and_singular_point_checks():
