@@ -245,6 +245,7 @@ def _read_once(f: AnalyticFunction, offset_lists, points: tuple, tables: Callabl
     points = tuple(dict.fromkeys(points))
 
     def reader(sigmas):
+        """The evaluator of the images at z, or, given sigmas, at the z + sigma_k."""
         outer = (0j,) if sigmas is None else tuple(complex(s) for s in np.ravel(sigmas))
         sums = offsets if sigmas is None else tuple(
             dict.fromkeys(s + t for s in outer for t in offsets))
